@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,26 +107,35 @@ def _load_net(path: str) -> model_mod.Network:
     return model_mod.load_weights(path)
 
 
+def _config_with_overrides(config_path, overrides, l1=None):
+    """TrainConfig and LossWeights from a config file (or the defaults) with
+    the given flag values on top; flags left as None keep the file's value.
+
+    A bad value, from either source, is a validation error (exit 1).
+    """
+    try:
+        if config_path:
+            cfg, lw = train_mod.parse_config(Path(config_path).read_text())
+        else:
+            cfg, lw = train_mod.TrainConfig(), train_mod.LossWeights()
+        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+        if l1 is not None:
+            lw = replace(lw, l1=l1)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    return cfg, lw
+
+
 def _train_config(args) -> tuple[train_mod.TrainConfig, train_mod.LossWeights]:
-    if args.config:
-        cfg, lw = train_mod.parse_config(Path(args.config).read_text())
-    else:
-        cfg, lw = train_mod.TrainConfig(), train_mod.LossWeights()
     overrides = {
         "epochs": args.epochs,
         "batch": args.batch,
         "lr_max": args.lr_max,
         "lr_min": args.lr_min,
         "seed": args.seed,
+        "transfer_layers": getattr(args, "transfer_layers", None),
     }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "transfer_layers", None) is not None:
-        cfg.transfer_layers = args.transfer_layers
-    if args.l1 is not None:
-        lw.l1 = args.l1
-    return cfg, lw
+    return _config_with_overrides(args.config, overrides, l1=args.l1)
 
 
 def _resolve_anchors(args, index) -> np.ndarray:
@@ -217,15 +227,8 @@ def cmd_prune(args) -> int:
 
 
 def _train_config_prune(args):
-    if args.config:
-        cfg, lw = train_mod.parse_config(Path(args.config).read_text())
-    else:
-        cfg, lw = train_mod.TrainConfig(), train_mod.LossWeights()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.finetune_epochs is not None:
-        cfg.finetune_epochs = args.finetune_epochs
-    return cfg, lw
+    overrides = {"seed": args.seed, "finetune_epochs": args.finetune_epochs}
+    return _config_with_overrides(args.config, overrides)
 
 
 def cmd_detect(args) -> int:
@@ -293,6 +296,8 @@ def cmd_ops(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 3:
+        raise CliError(f"--repeats must be at least 3, got {args.repeats}")
     if args.weights:
         net = _load_net(args.weights)
     else:

@@ -59,6 +59,16 @@ class TrainConfig:
             raise ValueError("lr_min must not exceed lr_max")
         if not 0.0 < self.prune_threshold < 1.0:
             raise ValueError("prune_threshold must lie in (0, 1)")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be at least 1, got {self.batch}")
+        if self.finetune_epochs < 0:
+            raise ValueError(f"finetune_epochs must be non-negative, got {self.finetune_epochs}")
+        if not self.transfer_lr_factor > 0:
+            raise ValueError(
+                f"transfer_lr_factor must be positive, got {self.transfer_lr_factor}"
+            )
 
 
 _CONFIG_INT_FIELDS = {"epochs", "batch", "finetune_epochs", "seed", "transfer_layers"}
@@ -239,10 +249,33 @@ def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net, lw):
 # Augmentation.
 
 
-def _rgb_to_hsv(rgb):
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = rgb.max(axis=-1)
-    minc = rgb.min(axis=-1)
+# Row k names, for HSV sector k, which of (v, q, p, t) becomes (r, g, b).
+# Row 6 repeats row 0: a hue that wraps to exactly 1.0 lands in sector 6,
+# which the textbook conversion folds back with `% 6`.
+_HSV_SECTORS = np.array(
+    [[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1], [0, 3, 2]]
+)
+
+
+def _frac(x):
+    """`x % 1.0` for finite floats, bit for bit, at a fraction of numpy's
+    float remainder cost."""
+    return x - np.floor(x)
+
+
+def _jitter_hsv(planes, saturation, hue_shift):
+    """Scale saturation and rotate hue of (3, h, w) float32 RGB planes in
+    [0, 1]; returns new planes.
+
+    A fused RGB -> HSV -> RGB round trip: every float32 operation of the
+    textbook conversion runs in the same order, so results match it bit for
+    bit, but each output channel is gathered from (v, q, p, t) by sector in
+    one `take` instead of six masked scatters.
+    """
+    n = planes[0].size
+    r, g, b = planes.reshape(3, n)
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
     spread = maxc - minc
     sat = np.where(maxc > 0, spread / np.maximum(maxc, 1e-12), 0.0)
     safe = np.maximum(spread, 1e-12)
@@ -250,30 +283,27 @@ def _rgb_to_hsv(rgb):
     gc = (maxc - g) / safe
     bc = (maxc - b) / safe
     hue = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc, 4.0 + gc - rc))
-    hue = np.where(spread > 0, (hue / 6.0) % 1.0, 0.0)
-    return np.stack([hue, sat, maxc], axis=-1)
+    hue = np.where(spread > 0, _frac(hue / 6.0), 0.0)
+    hue = _frac(hue + hue_shift)
+    s = np.clip(sat * saturation, 0.0, 1.0)
 
-
-def _hsv_to_rgb(hsv):
-    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
-    i = np.floor(h * 6.0)
-    f = h * 6.0 - i
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    i = i.astype(int) % 6
-    choices = [
-        np.stack([v, t, p], axis=-1),
-        np.stack([q, v, p], axis=-1),
-        np.stack([p, v, t], axis=-1),
-        np.stack([p, q, v], axis=-1),
-        np.stack([t, p, v], axis=-1),
-        np.stack([v, p, q], axis=-1),
-    ]
-    out = np.zeros(hsv.shape, dtype=hsv.dtype)
-    for idx, choice in enumerate(choices):
-        out[i == idx] = choice[i == idx]
-    return out
+    h6 = hue * 6.0
+    i = np.floor(h6)
+    f = h6 - i
+    vqpt = np.empty((4, n), dtype=planes.dtype)
+    vqpt[0] = maxc
+    np.multiply(maxc, 1.0 - s * f, out=vqpt[1])
+    np.multiply(maxc, 1.0 - s, out=vqpt[2])
+    np.multiply(maxc, 1.0 - s * (1.0 - f), out=vqpt[3])
+    sector = i.astype(np.intp)
+    offsets = _HSV_SECTORS * n
+    pixel = np.arange(n)
+    out = np.empty((3, n), dtype=planes.dtype)
+    for c in range(3):
+        flat_index = offsets[:, c].take(sector)
+        flat_index += pixel
+        out[c] = vqpt.take(flat_index)
+    return out.reshape(planes.shape)
 
 
 def hflip(image, boxes):
@@ -290,7 +320,10 @@ def augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
     """Random horizontal flip plus brightness/contrast/saturation/hue jitter.
 
     Operates on 8-bit RGB before any YUV conversion; box sizes are untouched
-    by the photometric ops.
+    by the photometric ops.  The ops run in a fixed order on float32: flip,
+    then brightness, then contrast about the image mean, then clip to [0, 1],
+    then HSV saturation scale and hue rotation, then round back to 8 bits.
+    The oracle test in tests/test_train.py pins this order byte for byte.
     """
     if rng.random() < flip_prob:
         image, boxes = hflip(image, boxes)
@@ -298,18 +331,25 @@ def augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
     contrast = rng.uniform(1 - jitter, 1 + jitter)
     saturation = rng.uniform(1 - jitter, 1 + jitter)
     hue_shift = rng.uniform(-hue_max_deg, hue_max_deg) / 360.0
-    img = image.astype(np.float32) / 255.0
-    img = img * brightness
+    img = image.astype(np.float32)
+    img /= 255.0
+    img *= brightness
+    # The mean is taken on the interleaved (h, w, 3) array: its summation
+    # order, and so its rounding, depends on the layout.
     mean = img.mean()
-    img = (img - mean) * contrast + mean
-    img = np.clip(img, 0.0, 1.0)
+    planes = np.empty((3,) + img.shape[:2], dtype=np.float32)
+    np.subtract(img.transpose(2, 0, 1), mean, out=planes)
+    planes *= contrast
+    planes += mean
+    np.clip(planes, 0.0, 1.0, out=planes)
     if saturation != 1.0 or hue_shift != 0.0:
-        hsv = _rgb_to_hsv(img)
-        hsv[..., 0] = (hsv[..., 0] + hue_shift) % 1.0
-        hsv[..., 1] = np.clip(hsv[..., 1] * saturation, 0.0, 1.0)
-        img = _hsv_to_rgb(hsv)
-    img = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
-    return img, boxes
+        planes = _jitter_hsv(planes, saturation, hue_shift)
+    # Rounding one plane at a time into the interleaved result is several
+    # times cheaper than transposing a (3, h, w) array back.
+    out = np.empty(image.shape, dtype=np.uint8)
+    for c in range(3):
+        out[..., c] = np.clip(np.round(planes[c] * 255.0), 0, 255)
+    return out, boxes
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,42 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self):
         assert main(["ops", "--frobnicate"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"), ("--batch", "0"), ("--batch", "-3"), ("--l1", "-1"),
+    ])
+    def test_bad_train_value_is_validation_error(self, toy_dir, tmp_path, capsys,
+                                                 flag, value):
+        out = tmp_path / "x.rbw"
+        code = main(["train", "--data", str(toy_dir), "--out", str(out), flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and flag.lstrip("-") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_finetune_epochs_is_validation_error(self, toy_dir, weights_file,
+                                                     tmp_path, capsys):
+        out = tmp_path / "p.rbw"
+        code = main(["prune", "--weights", str(weights_file), "--out", str(out),
+                     "--finetune", "--data", str(toy_dir), "--finetune-epochs", "-1"])
+        assert code == 1
+        assert "finetune_epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_config_value_is_validation_error(self, toy_dir, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("batch=0\n")
+        code = main(["train", "--data", str(toy_dir), "--out", str(tmp_path / "x.rbw"),
+                     "--config", str(config)])
+        assert code == 1
+        assert "batch" in capsys.readouterr().err
+
+    def test_bench_too_few_repeats_is_flag_error(self, capsys):
+        code = main(["bench", "--model", "robo", "--k", "1", "--repeats", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "--repeats" in err
+
 
 class TestGenDataAnchors:
     def test_smoke_pipeline(self, tmp_path, capsys):

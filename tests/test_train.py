@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from robodet.data import Annotation, generate_toy_dataset
+from robodet.data import Annotation, generate_toy_dataset, load_all_samples
 from robodet.detect import BBox, encode
 from robodet.model import build_robo, forward, init_network
 from robodet.train import (
@@ -12,6 +15,8 @@ from robodet.train import (
     LossWeights,
     TrainConfig,
     _epoch_batches,
+    _frac,
+    _jitter_hsv,
     adam_step,
     augment,
     batch_detection_loss,
@@ -179,6 +184,81 @@ class TestDetectionLoss:
         np.testing.assert_allclose(glo[0], ga[0] / 2, rtol=1e-6)
 
 
+# Frozen copy of the textbook HSV round trip and of augment as they stood
+# before the photometric path was fused: augment must match it byte for byte.
+
+
+def _reference_rgb_to_hsv(rgb):
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    maxc = rgb.max(axis=-1)
+    minc = rgb.min(axis=-1)
+    spread = maxc - minc
+    sat = np.where(maxc > 0, spread / np.maximum(maxc, 1e-12), 0.0)
+    safe = np.maximum(spread, 1e-12)
+    rc = (maxc - r) / safe
+    gc = (maxc - g) / safe
+    bc = (maxc - b) / safe
+    hue = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc, 4.0 + gc - rc))
+    hue = np.where(spread > 0, (hue / 6.0) % 1.0, 0.0)
+    return np.stack([hue, sat, maxc], axis=-1)
+
+
+def _reference_hsv_to_rgb(hsv):
+    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+    i = np.floor(h * 6.0)
+    f = h * 6.0 - i
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    i = i.astype(int) % 6
+    choices = [
+        np.stack([v, t, p], axis=-1),
+        np.stack([q, v, p], axis=-1),
+        np.stack([p, v, t], axis=-1),
+        np.stack([p, q, v], axis=-1),
+        np.stack([t, p, v], axis=-1),
+        np.stack([v, p, q], axis=-1),
+    ]
+    out = np.zeros(hsv.shape, dtype=hsv.dtype)
+    for idx, choice in enumerate(choices):
+        out[i == idx] = choice[i == idx]
+    return out
+
+
+def reference_augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
+    if rng.random() < flip_prob:
+        image, boxes = hflip(image, boxes)
+    brightness = rng.uniform(1 - jitter, 1 + jitter)
+    contrast = rng.uniform(1 - jitter, 1 + jitter)
+    saturation = rng.uniform(1 - jitter, 1 + jitter)
+    hue_shift = rng.uniform(-hue_max_deg, hue_max_deg) / 360.0
+    img = image.astype(np.float32) / 255.0
+    img = img * brightness
+    mean = img.mean()
+    img = (img - mean) * contrast + mean
+    img = np.clip(img, 0.0, 1.0)
+    if saturation != 1.0 or hue_shift != 0.0:
+        hsv = _reference_rgb_to_hsv(img)
+        hsv[..., 0] = (hsv[..., 0] + hue_shift) % 1.0
+        hsv[..., 1] = np.clip(hsv[..., 1] * saturation, 0.0, 1.0)
+        img = _reference_hsv_to_rgb(hsv)
+    img = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
+    return img, boxes
+
+
+def assert_augment_matches_reference(image, seed, **kw):
+    boxes = [Annotation(0, BBox(0.3, 0.4, 0.1, 0.2))]
+    got, got_boxes = augment(image, boxes, np.random.default_rng(seed), **kw)
+    want, want_boxes = reference_augment(image, boxes, np.random.default_rng(seed), **kw)
+    assert got.dtype == np.uint8 and got.shape == image.shape
+    np.testing.assert_array_equal(got, want)
+    assert got_boxes == want_boxes
+
+
+def _solid(*rgb):
+    return np.broadcast_to(np.array(rgb, dtype=np.uint8), (6, 5, 3)).copy()
+
+
 class TestAugment:
     def test_flip_is_involution(self, rng):
         img = rng.integers(0, 256, (24, 32, 3), dtype=np.uint8)
@@ -214,6 +294,80 @@ class TestAugment:
         img = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
         out, _ = augment(img, [], np.random.default_rng(2))
         assert out.dtype == np.uint8
+
+    def test_deterministic_per_seed(self, rng):
+        img = rng.integers(0, 256, (16, 24, 3), dtype=np.uint8)
+        boxes = [Annotation(1, BBox(0.3, 0.4, 0.1, 0.2))]
+        a, boxes_a = augment(img, boxes, np.random.default_rng(5))
+        b, boxes_b = augment(img, boxes, np.random.default_rng(5))
+        np.testing.assert_array_equal(a, b)
+        assert boxes_a == boxes_b
+        c, _ = augment(img, boxes, np.random.default_rng(6))
+        assert not np.array_equal(a, c)
+
+    @given(
+        image=arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(3))),
+        seed=st.integers(0, 2**32 - 1),
+        jitter=st.floats(0.0, 0.9),
+        hue_max_deg=st.floats(0.0, 180.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, image, seed, jitter, hue_max_deg):
+        assert_augment_matches_reference(image, seed, jitter=jitter, hue_max_deg=hue_max_deg)
+
+    @pytest.mark.parametrize("image", [
+        _solid(0, 0, 0),
+        _solid(255, 255, 255),
+        np.stack([_solid(v, v, v)[0] for v in (0, 1, 77, 128, 200, 254)]),
+        np.stack([_solid(255, 0, 0)[0], _solid(0, 255, 0)[0], _solid(0, 0, 255)[0]]),
+    ], ids=["black", "white", "greys", "pure_rgb"])
+    @pytest.mark.parametrize("jitter, hue_max_deg", [(0.25, 18.0), (0.9, 180.0)])
+    def test_matches_reference_on_edge_colours(self, image, jitter, hue_max_deg):
+        for seed in range(20):
+            assert_augment_matches_reference(image, seed, jitter=jitter,
+                                             hue_max_deg=hue_max_deg)
+
+    def test_matches_reference_on_full_size_images(self, micro_dataset):
+        # Full-size images are where summation order in the mean shows.
+        images = [image for image, _ in load_all_samples(micro_dataset)][:4]
+        noise = np.random.default_rng(0)
+        images += [noise.integers(0, 256, (192, 256, 3), dtype=np.uint8) for _ in range(4)]
+        for k, image in enumerate(images):
+            assert_augment_matches_reference(image, k)
+            assert_augment_matches_reference(image, k, jitter=0.9, hue_max_deg=180.0)
+
+
+def test_jitter_hsv_hue_wrapping_to_one_takes_sector_zero():
+    # A hue shift that lands a tiny step below 0 wraps to exactly 1.0, which
+    # the textbook conversion sends through sector 6 % 6 == 0.
+    rgb = np.array([[[1.0, 0.6, 0.0]]], dtype=np.float32)
+    hue = _reference_rgb_to_hsv(rgb)[0, 0, 0]
+    shift = -float(np.nextafter(hue, np.float32(1)))
+    hsv = _reference_rgb_to_hsv(rgb)
+    hsv[..., 0] = (hsv[..., 0] + shift) % 1.0
+    hsv[..., 1] = np.clip(hsv[..., 1] * 0.5, 0.0, 1.0)
+    assert hsv[0, 0, 0] == 1.0
+    want = _reference_hsv_to_rgb(hsv)
+    got = _jitter_hsv(rgb.transpose(2, 0, 1).copy(), 0.5, shift)
+    np.testing.assert_array_equal(got.transpose(1, 2, 0), want)
+
+
+def test_frac_matches_float_remainder_bitwise():
+    f32 = np.float32
+    edges = np.array([
+        0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0,
+        np.nextafter(f32(1), f32(0)), np.nextafter(f32(0), f32(1)),
+        np.nextafter(f32(0), f32(-1)), -1e-10, -1e-7, -np.finfo(f32).tiny,
+        np.nextafter(f32(-1), f32(0)), 1e7, -1e7, 16777215.0, -16777217.0,
+        1e30, -1e30, np.finfo(f32).max, -np.finfo(f32).max,
+    ], dtype=f32)
+    rng = np.random.default_rng(0)
+    sampled = (rng.choice([-1, 1], 200_000)
+               * 10.0 ** rng.uniform(-6, 8, 200_000)).astype(f32)
+    for x in (edges, sampled):
+        np.testing.assert_array_equal(
+            _frac(x).view(np.uint32), np.remainder(x, f32(1.0)).view(np.uint32)
+        )
 
 
 class TestPrune:
@@ -275,6 +429,20 @@ class TestConfigFile:
             TrainConfig(lr_min=1.0, lr_max=0.1)
         with pytest.raises(ValueError):
             LossWeights(coord=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("batch", 0), ("batch", -3), ("finetune_epochs", -1),
+        ("transfer_lr_factor", 0.0), ("transfer_lr_factor", -10.0),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            parse_config(f"{field}={value}\n")
+
+    def test_accepts_boundaries(self):
+        cfg = TrainConfig(epochs=1, batch=1, finetune_epochs=0, transfer_lr_factor=0.5)
+        assert (cfg.epochs, cfg.batch, cfg.finetune_epochs) == (1, 1, 0)
 
 
 def test_epoch_batches_cover_dataset(rng):
