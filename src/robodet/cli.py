@@ -211,6 +211,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    if not 0.0 < args.theta < 1.0:
+        raise CliError(f"--theta must lie in (0, 1), got {args.theta}")
     net = _load_net(args.weights)
     _, report = train_mod.prune(net, args.theta)
     print(report)
@@ -302,11 +304,14 @@ def cmd_bench(args) -> int:
         net = _load_net(args.weights)
     else:
         net = model_mod.init_network(model_mod.build_spec(args.model, args.k), args.seed)
-    mean_ms, std_ms = perf_mod.benchmark(net, repeats=args.repeats, use_sparse=args.sparse)
+    mean_ms, std_ms, pinned = perf_mod.benchmark(
+        net, repeats=args.repeats, use_sparse=args.sparse
+    )
     fps = 1000.0 / mean_ms if mean_ms > 0 else float("inf")
     mode = "sparse" if args.sparse else "dense"
+    threads = "single thread" if pinned else "BLAS threads not pinned"
     print(f"{net.spec.name} ({mode}): {mean_ms:.2f} ms +/- {std_ms:.2f} ms "
-          f"({fps:.1f} FPS, single thread, {args.repeats} runs)")
+          f"({fps:.1f} FPS, {threads}, {args.repeats} runs)")
     return 0
 
 
@@ -377,7 +382,7 @@ def build_parser() -> _Parser:
                    help="print the preset model comparison")
     p.set_defaults(func=cmd_ops)
 
-    p = sub.add_parser("bench", help="single-threaded forward-pass benchmark")
+    p = sub.add_parser("bench", help="forward-pass benchmark (one BLAS thread if pinnable)")
     p.add_argument("--weights")
     p.add_argument("--model", default="robo", choices=sorted(model_mod._BUILDERS))
     p.add_argument("--k", type=int, default=1)

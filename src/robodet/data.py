@@ -148,12 +148,11 @@ def filter_min_size(annotations, min_wh: float = DEFAULT_MIN_WH):
 def rgb_to_yuv(image: np.ndarray) -> np.ndarray:
     """8-bit (h, w, 3) RGB -> float32 (3, h, w) YUV with channels in [0, 1];
     chroma is centered at 0.5."""
-    rgb = image.astype(np.float32) / 255.0
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    r, g, b = np.ascontiguousarray(image.transpose(2, 0, 1), dtype=np.float32) / 255.0
     y = 0.299 * r + 0.587 * g + 0.114 * b
     u = 0.5 - 0.168736 * r - 0.331264 * g + 0.5 * b
     v = 0.5 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return np.stack([y, u, v]).astype(np.float32)
+    return np.stack([y, u, v])
 
 
 def yuv_to_rgb(yuv: np.ndarray) -> np.ndarray:

@@ -102,8 +102,7 @@ def average_precision(confidences, tp_flags, n_gt: int) -> float | None:
     precision = ctp / np.maximum(ctp + cfp, 1)
     mrec = np.concatenate(([0.0], recall, [1.0]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 1, 0, -1):
-        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     steps = np.where(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 

@@ -1,5 +1,5 @@
 """Analytic multiply-accumulate counting, sparsity-aware accounting, model
-comparison tables, and a single-threaded wall-clock micro-benchmark.
+comparison tables, and a wall-clock forward-pass micro-benchmark.
 
 MACs are the unit throughout; batch norm and activation costs are excluded
 (well under 1% for these shapes) and bias adds are not counted.
@@ -7,8 +7,10 @@ MACs are the unit throughout; batch norm and activation costs are excluded
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,9 +186,16 @@ def format_op_report(report: OpReport, csv: bool = False) -> str:
     return "\n".join(lines)
 
 
+class BenchResult(NamedTuple):
+    mean_ms: float
+    std_ms: float
+    threads_pinned: bool  # whether BLAS was really limited to one thread
+
+
 def benchmark(net: Network, x=None, repeats: int = 10, use_sparse: bool = False):
-    """Mean/std milliseconds over single-threaded forward passes, after one
-    untimed warmup run."""
+    """Mean/std milliseconds over forward passes, after one untimed warmup
+    run.  BLAS is limited to one thread when threadpoolctl is installed;
+    ``threads_pinned`` says whether it was."""
     if repeats < 3:
         raise ValueError("benchmark needs repeats >= 3")
     if x is None:
@@ -194,15 +203,17 @@ def benchmark(net: Network, x=None, repeats: int = 10, use_sparse: bool = False)
         x = rng.random((1, 3) + net.spec.input_hw, dtype=np.float32)
     try:
         from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - threadpoolctl ships with scipy
-        import contextlib
 
-        threadpool_limits = lambda limits: contextlib.nullcontext()
+        limit = threadpool_limits(limits=1)
+        pinned = True
+    except ImportError:
+        limit = contextlib.nullcontext()
+        pinned = False
     times = []
-    with threadpool_limits(limits=1):
+    with limit:
         forward(net, x, mode="infer", use_sparse=use_sparse)  # warmup
         for _ in range(repeats):
             start = time.perf_counter()
             forward(net, x, mode="infer", use_sparse=use_sparse)
             times.append((time.perf_counter() - start) * 1000.0)
-    return float(np.mean(times)), float(np.std(times))
+    return BenchResult(float(np.mean(times)), float(np.std(times)), pinned)

@@ -77,19 +77,33 @@ def _check_conv_input(x: np.ndarray, params: ConvParams) -> None:
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
-    """Lower NCHW input to a patch matrix of shape (n, c*k*k, out_h*out_w)."""
+    """Lower NCHW input to a patch matrix of shape (n, c*k*k, out_h*out_w).
+
+    The patches are one strided window view over the zero-padded input,
+    reshaped once.  For an unpadded stride-1 input (a 1x1 conv) the reshape
+    needs no copy, so the result may be a read-only view of ``x``; callers
+    must not write into it.
+    """
     n, c, h, w = x.shape
     out_h = (h + 2 * padding - kernel) // stride + 1
     out_w = (w + 2 * padding - kernel) // stride + 1
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            cols[:, :, i, j] = x[
-                :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-            ]
-    return cols.reshape(n, c * kernel * kernel, out_h * out_w)
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding : padding + h, padding : padding + w] = x
+        x = padded
+    else:
+        x = np.ascontiguousarray(x)  # the view below indexes x's buffer
+    sn, sc, sh, sw = x.strides
+    # The view as_strided would build, at about a seventh of its call cost;
+    # numpy checks that the strides stay inside x's buffer.
+    windows = np.ndarray(
+        (n, c, kernel, kernel, out_h, out_w),
+        x.dtype,
+        x,
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+    )
+    windows.flags.writeable = False
+    return windows.reshape(n, c * kernel * kernel, out_h * out_w)
 
 
 def col2im(
@@ -163,7 +177,15 @@ def conv2d_backward(
 
 
 def leaky_relu(x: np.ndarray, slope: float = 0.1) -> np.ndarray:
-    return np.where(x >= 0, x, x * np.asarray(slope, dtype=x.dtype))
+    """max(x, slope * x), for 0 < slope < 1.
+
+    For such slopes this equals ``where(x >= 0, x, slope * x)`` bit for bit,
+    signed zeros, subnormals, infinities and NaN included, but needs no
+    select over the sign mask, which is slow on inputs of mixed sign.
+    """
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {slope}")
+    return np.maximum(x, x * np.asarray(slope, dtype=x.dtype))
 
 
 def leaky_relu_backward(

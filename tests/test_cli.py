@@ -71,6 +71,18 @@ class TestExitCodes:
         assert code == 1
         assert "batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", ["0", "1.5"])
+    def test_prune_theta_outside_unit_interval_is_flag_error(self, weights_file, tmp_path,
+                                                             capsys, theta):
+        out = tmp_path / "p.rbw"
+        code = main(["prune", "--weights", str(weights_file), "--out", str(out),
+                     "--theta", theta])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "--theta" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bench_too_few_repeats_is_flag_error(self, capsys):
         code = main(["bench", "--model", "robo", "--k", "1", "--repeats", "2"])
         err = capsys.readouterr().err
@@ -135,6 +147,16 @@ class TestTrainCli:
     def test_bench_runs(self, capsys):
         assert main(["bench", "--model", "robo", "--k", "1", "--repeats", "3"]) == 0
         assert "ms" in capsys.readouterr().out
+
+    def test_bench_thread_label_states_whether_blas_was_pinned(self, capsys):
+        try:
+            import threadpoolctl  # noqa: F401
+            want, unwanted = "single thread", "not pinned"
+        except ImportError:
+            want, unwanted = "BLAS threads not pinned", "single thread"
+        assert main(["bench", "--model", "robo", "--k", "1", "--repeats", "3"]) == 0
+        out = capsys.readouterr().out
+        assert want in out and unwanted not in out
 
     def test_ops_compare_preset(self, capsys):
         assert main(["ops", "--model", "tiny_yolo_ref", "--compare"]) == 0

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robodet.data import (
     Annotation,
@@ -83,7 +86,31 @@ class TestAnnotations:
                 assert getattr(a.box, f) == pytest.approx(getattr(b.box, f), abs=1e-6)
 
 
+def rgb_to_yuv_reference(image):
+    """Frozen copy of the earlier rgb_to_yuv on the interleaved (h, w, 3) array."""
+    rgb = image.astype(np.float32) / 255.0
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    y = 0.299 * r + 0.587 * g + 0.114 * b
+    u = 0.5 - 0.168736 * r - 0.331264 * g + 0.5 * b
+    v = 0.5 + 0.5 * r - 0.418688 * g - 0.081312 * b
+    return np.stack([y, u, v]).astype(np.float32)
+
+
 class TestYuv:
+    @given(image=arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24),
+                                            st.just(3))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_interleaved_oracle(self, image):
+        got, want = rgb_to_yuv(image), rgb_to_yuv_reference(image)
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_full_size_matches_oracle(self, rng):
+        image = rng.integers(0, 256, (192, 256, 3), dtype=np.uint8)
+        got = rgb_to_yuv(image)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == rgb_to_yuv_reference(image).tobytes()
+
     def test_mid_gray(self):
         img = np.full((1, 1, 3), 128, dtype=np.uint8)
         yuv = rgb_to_yuv(img)

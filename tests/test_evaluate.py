@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robodet.detect import BBox, Detection, iou
 from robodet.evaluate import (
@@ -92,7 +94,43 @@ class TestMatch:
         assert match(base, gts, crit).tolist() == match(resized, gts, crit).tolist()
 
 
+def average_precision_reference(confidences, tp_flags, n_gt):
+    """Frozen copy of the earlier average_precision with the Python envelope loop."""
+    if n_gt == 0:
+        return None
+    confidences = np.asarray(confidences, dtype=np.float64)
+    tp_flags = np.asarray(tp_flags, dtype=bool)
+    if confidences.size == 0:
+        return 0.0
+    order = np.argsort(-confidences, kind="stable")
+    tp = tp_flags[order]
+    ctp = np.cumsum(tp)
+    cfp = np.cumsum(~tp)
+    recall = ctp / n_gt
+    precision = ctp / np.maximum(ctp + cfp, 1)
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(mpre.size - 1, 0, -1):
+        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    steps = np.where(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+
+
 class TestAveragePrecision:
+    @given(
+        points=st.lists(st.tuples(st.integers(0, 8), st.booleans()), max_size=80),
+        extra_gt=st.integers(0, 20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, points, extra_gt):
+        # Confidences on a coarse grid, so many are tied.
+        confs = [level / 8 for level, _ in points]
+        flags = [flag for _, flag in points]
+        n_gt = sum(flags) + extra_gt
+        got = average_precision(confs, flags, n_gt)
+        want = average_precision_reference(confs, flags, n_gt)
+        assert got == want
+
     def test_perfect_detector(self):
         ap = average_precision([0.9, 0.8, 0.7], [True, True, True], 3)
         assert ap == pytest.approx(1.0)

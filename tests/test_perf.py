@@ -148,15 +148,16 @@ class TestBenchmark:
             return real_forward(*args, **kwargs)
 
         monkeypatch.setattr(perf_mod, "forward", counting_forward)
-        mean_ms, std_ms = benchmark(net, repeats=3)
+        mean_ms, std_ms, pinned = benchmark(net, repeats=3)
         assert len(calls) == 4  # warmup + 3 timed
         assert mean_ms > 0 and std_ms >= 0
+        assert isinstance(pinned, bool)
 
     def test_larger_input_slower(self):
         small = init_network(build_robo(1), seed=0)
         big = init_network(build_robo(2), seed=0)
-        t_small, _ = benchmark(small, repeats=5)
-        t_big, _ = benchmark(big, repeats=5)
+        t_small = benchmark(small, repeats=5).mean_ms
+        t_big = benchmark(big, repeats=5).mean_ms
         assert t_big > t_small
 
     def test_repeats_validated(self):

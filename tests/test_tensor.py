@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robodet.tensor import (
     BatchNormParams,
@@ -114,6 +116,64 @@ class TestConvBackward:
             conv2d_backward(x, p, np.zeros((1, 2, 5, 4)))
 
 
+def im2col_reference(x, kernel, stride, padding):
+    """Frozen copy of the earlier im2col: np.pad plus one slice copy per tap."""
+    n, c, h, w = x.shape
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            cols[:, :, i, j] = x[
+                :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
+            ]
+    return cols.reshape(n, c * kernel * kernel, out_h * out_w)
+
+
+def leaky_relu_reference(x, slope=0.1):
+    """Frozen copy of the earlier select-based leaky ReLU."""
+    return np.where(x >= 0, x, x * np.asarray(slope, dtype=x.dtype))
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestIm2colOracle:
+    @given(
+        n=st.sampled_from([1, 3]),
+        c=st.integers(1, 4),
+        h=st.integers(1, 5),
+        w=st.integers(1, 5),
+        kernel=st.sampled_from([1, 3]),
+        stride=st.sampled_from([1, 2]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        layout=st.sampled_from(["contiguous", "flipped", "fortran"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_slice_loop(self, n, c, h, w, kernel, stride, dtype, layout, seed):
+        x = np.random.default_rng(seed).normal(0, 1, (n, c, h * stride, w * stride))
+        x = x.astype(dtype)
+        if layout == "flipped":  # negative strides: a non-contiguous view
+            x = x[:, ::-1, :, ::-1]
+        elif layout == "fortran":
+            x = np.asfortranarray(x)
+        padding = kernel // 2
+        assert_bitwise_equal(im2col(x, kernel, stride, padding),
+                             im2col_reference(x, kernel, stride, padding))
+
+    def test_1x1_result_is_read_only_view(self, rng):
+        x = rng.normal(0, 1, (2, 3, 4, 4))
+        cols = im2col(x, 1, 1, 0)
+        assert np.shares_memory(cols, x)
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0, 0, 0] = 1.0
+
+
 class TestLeakyRelu:
     def test_basic_values(self):
         out = leaky_relu(np.array([1.0, -1.0], dtype=np.float32), 0.1)
@@ -122,6 +182,31 @@ class TestLeakyRelu:
     def test_non_negative_identity(self, rng):
         x = rng.random((2, 3, 4, 4)).astype(np.float32)
         np.testing.assert_array_equal(leaky_relu(x), x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values_match_select_oracle(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, np.finfo(dtype).max, -np.finfo(dtype).max,
+                      np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0], dtype=dtype)
+        assert_bitwise_equal(leaky_relu(x), leaky_relu_reference(x))
+        assert np.signbit(leaky_relu(x)[1])  # -0 stays -0
+
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        slope=st.floats(1e-3, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_select_oracle(self, dtype, slope, seed):
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore"):  # float32 overflow to ±inf is a wanted input
+            x = (rng.normal(0, 1, 200) * 10.0 ** rng.integers(-46, 40, 200)).astype(dtype)
+        assert_bitwise_equal(leaky_relu(x, slope), leaky_relu_reference(x, slope))
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.1, 2.0])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            leaky_relu(np.ones(3), slope)
 
     def test_backward_matches_fd_away_from_zero(self, rng):
         x = rng.normal(0, 1, (2, 2, 4, 4))
