@@ -22,8 +22,7 @@ for i in range(3):
     image, anns = load_sample(val, i)
     x = rgb_to_yuv(image)[None]
     lo, hi = decode_network_output(*forward(net, x), net.spec, net.anchors)
-    dets = postprocess(lo, hi, conf_threshold=0.0)
-    dets.sort(key=lambda d: -d.confidence)
+    dets = sorted(postprocess(lo, hi, conf_threshold=0.0), key=lambda d: -d.confidence)
     print(f"--- image {i}: gt={[(CLASS_NAMES[a.class_id], round(a.box.cx,2), round(a.box.cy,2)) for a in anns]}")
     for d in dets[:6]:
         print(f"    {CLASS_NAMES[d.class_id]:9s} conf={d.confidence:.3f} "
@@ -33,7 +32,7 @@ for i in range(len(val)):
     image, anns = load_sample(val, i)
     x = rgb_to_yuv(image)[None]
     lo, hi = decode_network_output(*forward(net, x), net.spec, net.anchors)
-    for d in lo + hi:
+    for d in [*lo, *hi]:
         conf_by_class[d.class_id].append(d.confidence)
 for c in range(4):
     v = np.array(conf_by_class[c])

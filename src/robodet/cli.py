@@ -233,9 +233,16 @@ def _train_config_prune(args):
     return _config_with_overrides(args.config, overrides)
 
 
+def _check_conf(conf: float) -> None:
+    if not 0.0 <= conf <= 1.0:
+        raise CliError(f"--conf must lie in [0, 1], got {conf}")
+
+
 def cmd_detect(args) -> int:
+    _check_conf(args.conf)
+    if args.nms is not None and not 0.0 < args.nms <= 1.0:
+        raise CliError(f"--nms must lie in (0, 1], got {args.nms}")
     net = _load_net(args.weights)
-    nms_iou = None if args.nms is None else args.nms
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,7 +251,7 @@ def cmd_detect(args) -> int:
         x = data_mod.rgb_to_yuv(image)[None]
         raw_lo, raw_hi = model_mod.forward(net, x, mode="infer", use_sparse=args.sparse)
         lo, hi = detect_mod.decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
-        dets = detect_mod.postprocess(lo, hi, conf_threshold=args.conf, nms_iou=nms_iou)
+        dets = detect_mod.postprocess(lo, hi, conf_threshold=args.conf, nms_iou=args.nms)
         dump = detect_mod.format_detections(dets)
         stem = Path(image_path).stem
         if out_dir:
@@ -258,6 +265,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_conf(args.conf)
     index = data_mod.load_index(args.data, "val")
     rows = []
     for weight_path in args.weights:

@@ -8,6 +8,7 @@ cx, cy in [0, 1], w, h > 0 (may exceed 1 for boxes spilling past borders).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,58 @@ class Detection:
     confidence: float
 
 
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detections as parallel 1-D arrays, entry k being one candidate.
+
+    ``len``, integer indexing and iteration yield `Detection` objects, so
+    code written for a list of detections reads this unchanged.
+    """
+
+    class_id: np.ndarray  # int64
+    confidence: np.ndarray  # float64, like the box fields
+    cx: np.ndarray
+    cy: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.class_id, self.confidence, self.cx, self.cy, self.w, self.h)
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    def __getitem__(self, i: int) -> Detection:
+        c, p, x, y, w, h = (v[operator.index(i)].item() for v in self.columns())
+        return Detection(BBox(x, y, w, h), c, p)
+
+    def __iter__(self):
+        for c, p, x, y, w, h in zip(*(v.tolist() for v in self.columns())):
+            yield Detection(BBox(x, y, w, h), c, p)
+
+    def select(self, index) -> Detections:
+        """The entries at an integer index array, in its order."""
+        return Detections(*(v[index] for v in self.columns()))
+
+    @staticmethod
+    def concat(parts) -> Detections:
+        """The entries of every part, part by part."""
+        if not parts:
+            return as_detections([])
+        return Detections(*(np.concatenate(v) for v in zip(*(p.columns() for p in parts))))
+
+
+def as_detections(dets) -> Detections:
+    """``dets`` as `Detections`; a sequence of `Detection` is converted."""
+    if isinstance(dets, Detections):
+        return dets
+    dets = list(dets)
+    values = np.array(
+        [(d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets], dtype=np.float64
+    ).reshape(-1, 5)
+    return Detections(np.array([d.class_id for d in dets], dtype=np.int64), *values.T)
+
+
 def compute_anchors(annotations) -> np.ndarray:
     """Per-class mean (width, height) over (class_id, BBox) pairs.
 
@@ -52,8 +105,9 @@ def compute_anchors(annotations) -> np.ndarray:
     return (sums / counts[:, None]).astype(np.float32)
 
 
-def decode(raw: np.ndarray, head: HeadSpec, anchors: np.ndarray, grid) -> list[Detection]:
-    """Turn one head's raw tensor into a candidate per (cell, owned class).
+def decode(raw: np.ndarray, head: HeadSpec, anchors: np.ndarray, grid) -> Detections:
+    """Turn one head's raw tensor into a candidate per (cell, owned class),
+    ordered slot by slot, then row by row, then column by column.
 
     Channel block [5c, 5c+5) of slot c holds (tx, ty, tw, th, to); the cell
     offset goes through a sigmoid, the size through exp against the class
@@ -65,24 +119,16 @@ def decode(raw: np.ndarray, head: HeadSpec, anchors: np.ndarray, grid) -> list[D
             f"raw head tensor shape {tuple(raw.shape)} does not match "
             f"(1, {head.channels}, {gh}, {gw})"
         )
-    out = []
-    for slot, class_id in enumerate(head.classes_owned):
-        tx, ty, tw, th, to = raw[0, 5 * slot : 5 * slot + 5].astype(np.float64)
-        cx = (np.arange(gw) + expit(tx)) / gw
-        cy = (np.arange(gh)[:, None] + expit(ty)) / gh
-        w = anchors[class_id, 0] * np.exp(tw)
-        h = anchors[class_id, 1] * np.exp(th)
-        conf = expit(to)
-        for i in range(gh):
-            for j in range(gw):
-                out.append(
-                    Detection(
-                        BBox(cx[i, j], cy[i, j], w[i, j], h[i, j]),
-                        class_id,
-                        conf[i, j],
-                    )
-                )
-    return out
+    owned = list(head.classes_owned)
+    t = raw[0].astype(np.float64).reshape(len(owned), 5, gh, gw)
+    cx = (np.arange(gw) + expit(t[:, 0])) / gw
+    cy = (np.arange(gh)[:, None] + expit(t[:, 1])) / gh
+    wh = anchors[owned][:, :, None, None] * np.exp(t[:, 2:4])
+    conf = expit(t[:, 4])
+    return Detections(
+        np.repeat(np.array(owned, dtype=np.int64), gh * gw),
+        conf.ravel(), cx.ravel(), cy.ravel(), wh[:, 0].ravel(), wh[:, 1].ravel(),
+    )
 
 
 def encode(gt, anchors: np.ndarray, grid):
@@ -120,9 +166,26 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def iou_matrix(a, b) -> np.ndarray:
+    """IoU of every box of ``a`` (rows) against every box of ``b`` (columns),
+    each given as (cx, cy, w, h) 1-D arrays.
+
+    Runs the operations of `iou` in its order, so for boxes with finite
+    corners entry [i, j] is bitwise equal to ``iou(a[i], b[j])``.
+    """
+    acx, acy, aw, ah = (v[:, None] for v in a)
+    bcx, bcy, bw, bh = (v[None, :] for v in b)
+    iw = np.minimum(acx + aw / 2, bcx + bw / 2) - np.maximum(acx - aw / 2, bcx - bw / 2)
+    ih = np.minimum(acy + ah / 2, bcy + bh / 2) - np.maximum(acy - ah / 2, bcy - bh / 2)
+    inter = iw * ih
+    union = aw * ah + bw * bh - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=(iw > 0) & (ih > 0))
+
+
 def nms(detections, iou_threshold: float) -> list[Detection]:
     """Greedy per-class suppression of boxes overlapping a kept box by more
     than the threshold; ties in confidence keep the earlier detection."""
+    detections = list(detections)
     kept: list[Detection] = []
     for class_id in range(len(CLASS_NAMES)):
         cls = [d for d in detections if d.class_id == class_id]
@@ -140,15 +203,20 @@ def postprocess(
     dets_hi,
     conf_threshold: float = DEFAULT_CONF_THRESHOLD,
     nms_iou: float | None = None,
-) -> list[Detection]:
-    """Merge both heads' candidates, drop low confidences, optionally NMS."""
-    merged = [d for d in list(dets_lo) + list(dets_hi) if d.confidence >= conf_threshold]
+) -> Detections:
+    """Merge both heads' candidates, drop low confidences, optionally NMS.
+
+    The threshold applies to the arrays, so only the survivors ever become
+    `Detection` objects, and only when NMS runs.
+    """
+    merged = Detections.concat([as_detections(dets_lo), as_detections(dets_hi)])
+    kept = merged.select(np.flatnonzero(merged.confidence >= conf_threshold))
     if nms_iou is not None:
-        merged = nms(merged, nms_iou)
-    return merged
+        kept = as_detections(nms(kept, nms_iou))
+    return kept
 
 
-def decode_network_output(raw_lo, raw_hi, spec, anchors) -> list[Detection]:
+def decode_network_output(raw_lo, raw_hi, spec, anchors) -> tuple[Detections, Detections]:
     """Decode both heads of a single-image forward pass (batch size 1)."""
     lo = decode(raw_lo, spec.head("head_lo"), anchors, spec.head_grid(spec.head("head_lo")))
     hi = decode(raw_hi, spec.head("head_hi"), anchors, spec.head_grid(spec.head("head_hi")))
@@ -170,6 +238,11 @@ def format_detections(detections) -> str:
 
 
 def parse_detections(text: str) -> list[Detection]:
+    """Read a dump written by `format_detections`.
+
+    A line with the wrong field count, a non-numeric field, a class id
+    outside CLASS_NAMES or a non-finite value raises ValueError naming it.
+    """
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -178,8 +251,18 @@ def parse_detections(text: str) -> list[Detection]:
         parts = line.split()
         if len(parts) != 6:
             raise ValueError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-        class_id = int(parts[0])
-        conf, cx, cy, w, h = (float(p) for p in parts[1:])
+        try:
+            class_id = int(parts[0])
+            values = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not 0 <= class_id < len(CLASS_NAMES):
+            raise ValueError(
+                f"line {lineno}: class id {class_id} outside [0, {len(CLASS_NAMES)})"
+            )
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"line {lineno}: confidence and box must be finite")
+        conf, cx, cy, w, h = values
         out.append(Detection(BBox(cx, cy, w, h), class_id, conf))
     return out
 

@@ -10,13 +10,16 @@ once; score ties break toward the lower ground-truth index.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import iou
+from . import data as data_mod
+from . import detect as detect_mod
+from . import model as model_mod
+from .detect import Detections, as_detections, iou_matrix
 from .model import CLASS_NAMES
 
 DEFAULT_IOU_SWEEP = (0.75, 0.5, 0.25, 0.1, 0.05)
@@ -56,33 +59,46 @@ class EvalReport:
         return float(np.mean(defined)) if defined else 0.0
 
 
-def _pair_score(det, gt_box, crit: MatchCriterion):
-    """(qualifies, score) where larger score is always better."""
-    if crit.kind == "iou":
-        s = iou(det.box, gt_box)
-        return s >= crit.threshold, s
-    w, h = crit.image_size
-    d = math.hypot((det.box.cx - gt_box.cx) * w, (det.box.cy - gt_box.cy) * h)
-    return d <= crit.threshold, -d
-
-
 def match(dets, gts, crit: MatchCriterion) -> np.ndarray:
-    """Per-detection TP flags (aligned with the input order) for one image."""
+    """Per-detection TP flags (aligned with the input order) for one image.
+
+    ``dets`` is `Detections` or a sequence of `Detection`; ``gts`` is a
+    sequence of (class_id, BBox).  One score matrix holds every (detection,
+    ground truth) pair: the IoU, bitwise equal to `iou` for finite boxes, or
+    the negated center distance in pixels.  The distance comes from
+    ``np.hypot``, which can differ from ``math.hypot`` in the last ulp, so a
+    flag can differ from a ``math.hypot`` matcher only where a distance lies
+    within one ulp of the threshold or of another ground truth's distance.
+    """
+    dets = as_detections(dets)
     flags = np.zeros(len(dets), dtype=bool)
-    taken = [False] * len(gts)
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
-    for i in order:
-        det = dets[i]
-        best = None
-        for g, (gt_class, gt_box) in enumerate(gts):
-            if taken[g] or gt_class != det.class_id:
-                continue
-            ok, score = _pair_score(det, gt_box, crit)
-            if ok and (best is None or score > best[1]):
-                best = (g, score)
-        if best is not None:
-            taken[best[0]] = True
-            flags[i] = True
+    if len(dets) == 0 or len(gts) == 0:
+        return flags
+    gt = np.array([(c, b.cx, b.cy, b.w, b.h) for c, b in gts], dtype=np.float64).T
+    if crit.kind == "iou":
+        score = iou_matrix((dets.cx, dets.cy, dets.w, dets.h), gt[1:])
+        ok = score >= crit.threshold
+    else:
+        w, h = crit.image_size
+        dist = np.hypot((dets.cx[:, None] - gt[1]) * w, (dets.cy[:, None] - gt[2]) * h)
+        ok = dist <= crit.threshold
+        score = -dist
+    ok &= dets.class_id[:, None] == gt[0]
+    # Rows in descending confidence; a claimed ground truth's column is
+    # knocked out to -inf, so argmax picks the best free one, lowest index
+    # first on ties.
+    order = np.argsort(-dets.confidence, kind="stable")
+    score = np.where(ok, score, -np.inf)[order]
+    unclaimed = np.count_nonzero(ok.any(axis=0))
+    for r in np.flatnonzero(ok.any(axis=1)[order]):
+        g = score[r].argmax()
+        if score[r, g] == -np.inf:
+            continue
+        flags[order[r]] = True
+        score[:, g] = -np.inf
+        unclaimed -= 1
+        if unclaimed == 0:
+            break
     return flags
 
 
@@ -110,35 +126,34 @@ def average_precision(confidences, tp_flags, n_gt: int) -> float | None:
 def evaluate_detections(per_image_dets, per_image_gts, criteria) -> list[EvalReport]:
     """Score fixed detections against ground truth under each criterion.
 
-    per_image_dets: list over images of Detection lists; per_image_gts:
-    matching list of (class_id, BBox) lists.
+    per_image_dets: list over images of `Detections` (or `Detection`
+    lists); per_image_gts: matching list of (class_id, BBox) lists.
     """
     if len(per_image_dets) != len(per_image_gts):
         raise ValueError("detections and ground truth must cover the same images")
+    per_image_dets = [as_detections(d) for d in per_image_dets]
+    # Image order, then detection order: AP's stable sort keeps equal
+    # confidences of one class in this order.
+    dets = Detections.concat(per_image_dets)
+    class_masks = [dets.class_id == c for c in range(len(CLASS_NAMES))]
+    n_gt = Counter(c for gts in per_image_gts for c, _ in gts)
     reports = []
     for crit in criteria:
-        confs = {c: [] for c in range(len(CLASS_NAMES))}
-        tps = {c: [] for c in range(len(CLASS_NAMES))}
-        n_gt = {c: 0 for c in range(len(CLASS_NAMES))}
-        for dets, gts in zip(per_image_dets, per_image_gts):
-            flags = match(dets, gts, crit)
-            for det, flag in zip(dets, flags):
-                confs[det.class_id].append(det.confidence)
-                tps[det.class_id].append(flag)
-            for gt_class, _ in gts:
-                n_gt[gt_class] += 1
+        flags = np.concatenate(
+            [np.zeros(0, dtype=bool)]
+            + [match(d, g, crit) for d, g in zip(per_image_dets, per_image_gts)]
+        )
         ap = {}
         counts = {}
-        for c in range(len(CLASS_NAMES)):
-            ap[c] = average_precision(confs[c], tps[c], n_gt[c])
+        for c, mask in enumerate(class_masks):
+            ap[c] = average_precision(dets.confidence[mask], flags[mask], n_gt[c])
             if ap[c] is None:
                 warnings.warn(
                     f"class '{CLASS_NAMES[c]}' has no ground truth; "
                     f"excluded from mAP under {crit.label}"
                 )
-            tp = int(np.sum(tps[c])) if tps[c] else 0
-            fp = len(tps[c]) - tp
-            counts[c] = (tp, fp, n_gt[c] - tp)
+            tp = int(np.count_nonzero(flags[mask]))
+            counts[c] = (tp, int(np.count_nonzero(mask)) - tp, n_gt[c] - tp)
         reports.append(EvalReport(crit, ap, counts))
     return reports
 
@@ -153,10 +168,6 @@ def default_criteria(image_size) -> list[MatchCriterion]:
 
 def evaluate(net, index, criteria=None, conf_threshold: float = 0.01, use_sparse=False):
     """Run inference over a dataset index and score the criterion sweep."""
-    from . import data as data_mod
-    from .detect import postprocess
-    from .model import forward
-
     if criteria is None:
         criteria = default_criteria(index.image_size)
     per_image_dets = []
@@ -164,11 +175,9 @@ def evaluate(net, index, criteria=None, conf_threshold: float = 0.01, use_sparse
     for i in range(len(index)):
         image, annotations = data_mod.load_sample(index, i)
         x = data_mod.rgb_to_yuv(image)[None]
-        raw_lo, raw_hi = forward(net, x, mode="infer", use_sparse=use_sparse)
-        from .detect import decode_network_output
-
-        lo, hi = decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
-        per_image_dets.append(postprocess(lo, hi, conf_threshold=conf_threshold))
+        raw_lo, raw_hi = model_mod.forward(net, x, mode="infer", use_sparse=use_sparse)
+        lo, hi = detect_mod.decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
+        per_image_dets.append(detect_mod.postprocess(lo, hi, conf_threshold=conf_threshold))
         per_image_gts.append([(a.class_id, a.box) for a in annotations])
     return evaluate_detections(per_image_dets, per_image_gts, criteria)
 
@@ -195,9 +204,13 @@ def write_report_csv(path, rows) -> None:
 
 
 def write_per_class_csv(path, model_name, reports) -> None:
+    """One row per criterion: each class's AP, the mAP, then each class's
+    tp, fp and fn counts."""
+    count_cols = [f"{n}_{k}" for n in CLASS_NAMES for k in ("tp", "fp", "fn")]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["model", "criterion"] + list(CLASS_NAMES) + ["mAP"])
+        writer.writerow(["model", "criterion"] + list(CLASS_NAMES) + ["mAP"] + count_cols)
         for r in reports:
             cells = ["" if r.ap[c] is None else f"{r.ap[c]:.4f}" for c in range(len(CLASS_NAMES))]
-            writer.writerow([model_name, r.criterion.label] + cells + [f"{r.map:.4f}"])
+            counts = [n for c in range(len(CLASS_NAMES)) for n in r.counts[c]]
+            writer.writerow([model_name, r.criterion.label] + cells + [f"{r.map:.4f}"] + counts)

@@ -1,10 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
 from robodet.cli import box_pixel_rect, main, render_overlay
-from robodet.data import generate_toy_dataset, read_ppm, write_ppm
+from robodet.data import generate_toy_dataset, load_index, read_ppm, write_ppm
 from robodet.detect import BBox, Detection, load_anchors
-from robodet.model import build_robo, init_network, save_weights
+from robodet.evaluate import evaluate
+from robodet.model import CLASS_NAMES, build_robo, init_network, load_weights, save_weights
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--images", "x.ppm", "--conf", "nan"],
+        ["detect", "--images", "x.ppm", "--conf", "-0.1"],
+        ["detect", "--images", "x.ppm", "--conf", "1.5"],
+        ["detect", "--images", "x.ppm", "--nms", "0"],
+        ["detect", "--images", "x.ppm", "--nms", "1.01"],
+        ["detect", "--images", "x.ppm", "--nms", "nan"],
+        ["eval", "--data", "d", "--conf", "nan"],
+        ["eval", "--data", "d", "--conf", "2"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_threshold_outside_range_is_flag_error(self, capsys, argv):
+        # The weight file does not exist: exit 1, not 2, shows the flag is
+        # checked before the weights load.
+        code = main(argv + ["--weights", "/nonexistent.rbw"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and argv[-2] in err
+        assert "Traceback" not in err
+
     def test_bench_too_few_repeats_is_flag_error(self, capsys):
         code = main(["bench", "--model", "robo", "--k", "1", "--repeats", "2"])
         err = capsys.readouterr().err
@@ -143,6 +165,18 @@ class TestTrainCli:
         first = dump.splitlines()[0].split()
         assert len(first) == 6
         assert (out_dir / f"{img.stem}_overlay.ppm").exists()
+
+    def test_eval_per_class_writes_counts(self, toy_dir, weights_file, tmp_path):
+        path = tmp_path / "classes.csv"
+        assert main(["eval", "--data", str(toy_dir), "--weights", str(weights_file),
+                     "--per-class", str(path)]) == 0
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        reports = evaluate(load_weights(weights_file), load_index(toy_dir, "val"))
+        assert [row["criterion"] for row in rows] == [r.criterion.label for r in reports]
+        for row, r in zip(rows, reports):
+            for c, name in enumerate(CLASS_NAMES):
+                assert tuple(int(row[f"{name}_{k}"]) for k in ("tp", "fp", "fn")) == r.counts[c]
 
     def test_bench_runs(self, capsys):
         assert main(["bench", "--model", "robo", "--k", "1", "--repeats", "3"]) == 0

@@ -4,22 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from robodet.detect import (
     BBox,
     Detection,
+    Detections,
+    as_detections,
     compute_anchors,
     decode,
+    decode_network_output,
     encode,
     format_detections,
     iou,
+    iou_matrix,
     load_anchors,
     nms,
     parse_detections,
     postprocess,
     save_anchors,
 )
-from robodet.model import build_robo
+from robodet.model import CLASS_NAMES, HeadSpec, build_robo, forward, init_network
 from robodet.tensor import ShapeError
 
 HEAD_LO = build_robo(2).head("head_lo")
@@ -250,7 +256,7 @@ def nms_oracle(dets, thr):
 class TestPostprocess:
     def test_all_below_threshold(self):
         dets = [Detection(BBox(0.5, 0.5, 0.1, 0.1), 0, 0.0) for _ in range(5)]
-        assert postprocess(dets, [], conf_threshold=0.5) == []
+        assert len(postprocess(dets, [], conf_threshold=0.5)) == 0
 
     def test_identical_boxes_nms(self):
         b = BBox(0.5, 0.5, 0.2, 0.2)
@@ -308,3 +314,220 @@ class TestDumpFormat:
     def test_empty(self):
         assert format_detections([]) == ""
         assert parse_detections("") == []
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the object-per-candidate decode, nms and postprocess that
+# the array path replaced; the array path must reproduce them bit for bit.
+
+
+def decode_reference(raw, head, anchors, grid):
+    gh, gw = grid
+    out = []
+    for slot, class_id in enumerate(head.classes_owned):
+        tx, ty, tw, th, to = raw[0, 5 * slot : 5 * slot + 5].astype(np.float64)
+        cx = (np.arange(gw) + expit(tx)) / gw
+        cy = (np.arange(gh)[:, None] + expit(ty)) / gh
+        w = anchors[class_id, 0] * np.exp(tw)
+        h = anchors[class_id, 1] * np.exp(th)
+        conf = expit(to)
+        for i in range(gh):
+            for j in range(gw):
+                out.append(
+                    Detection(
+                        BBox(cx[i, j], cy[i, j], w[i, j], h[i, j]),
+                        class_id,
+                        conf[i, j],
+                    )
+                )
+    return out
+
+
+def nms_reference(detections, iou_threshold):
+    kept = []
+    for class_id in range(len(CLASS_NAMES)):
+        cls = [d for d in detections if d.class_id == class_id]
+        cls.sort(key=lambda d: -d.confidence)
+        survivors = []
+        for d in cls:
+            if all(iou(d.box, s.box) <= iou_threshold for s in survivors):
+                survivors.append(d)
+        kept.extend(survivors)
+    return kept
+
+
+def postprocess_reference(dets_lo, dets_hi, conf_threshold=0.5, nms_iou=None):
+    merged = [d for d in list(dets_lo) + list(dets_hi) if d.confidence >= conf_threshold]
+    if nms_iou is not None:
+        merged = nms_reference(merged, nms_iou)
+    return merged
+
+
+def assert_same_detections(got, want):
+    """Same sequence, with every float equal bit for bit and int class ids."""
+    got, want = list(got), list(want)
+    assert [d.class_id for d in got] == [d.class_id for d in want]
+    assert all(type(d.class_id) is int for d in got)
+
+    def bits(dets):
+        return np.array(
+            [(d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets],
+            dtype=np.float64,
+        ).tobytes()
+
+    assert bits(got) == bits(want)
+
+
+@st.composite
+def head_outputs(draw, coarse=False):
+    """A head spec, its grid, a raw float32 tensor and float32 anchors.
+
+    ``coarse`` draws raw values from a few levels, so confidences tie."""
+    gh, gw = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    owned = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True)))
+    head = HeadSpec("head", 1, owned)
+    if coarse:
+        elements = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0])
+    else:
+        elements = st.floats(allow_nan=False, width=32)
+    raw = draw(arrays(np.float32, (1, head.channels, gh, gw), elements=elements))
+    anchors = draw(arrays(np.float32, (4, 2), elements=st.floats(2.0**-10, 2.0, width=32)))
+    return head, (gh, gw), raw, anchors
+
+
+class TestDetectionsContainer:
+    def make(self):
+        return as_detections([
+            Detection(BBox(0.5, 0.25, 0.125, 0.0625), 2, 0.875),
+            Detection(BBox(0.1, 0.9, 0.05, 0.05), 0, 0.125),
+        ])
+
+    def test_len_index_and_iteration_yield_detections(self):
+        dets = self.make()
+        assert len(dets) == 2
+        assert dets[0] == Detection(BBox(0.5, 0.25, 0.125, 0.0625), 2, 0.875)
+        assert dets[-1] == list(dets)[1]
+        assert type(dets[1].class_id) is int
+
+    def test_slice_is_not_an_integer_index(self):
+        with pytest.raises(TypeError):
+            self.make()[0:1]
+
+    def test_empty(self):
+        dets = Detections.concat([])
+        assert len(dets) == 0 and list(dets) == []
+        assert dets.class_id.dtype == np.int64 and dets.cx.dtype == np.float64
+
+
+class TestArrayPathMatchesObjectPath:
+    @given(head_outputs())
+    @settings(max_examples=200, deadline=None)
+    def test_decode_bitwise(self, case):
+        head, grid, raw, anchors = case
+        with np.errstate(over="ignore"):
+            got = decode(raw, head, anchors, grid)
+            want = decode_reference(raw, head, anchors, grid)
+        assert len(got) == len(want)
+        assert_same_detections(got, want)
+
+    @given(
+        head_outputs(coarse=True),
+        head_outputs(coarse=True),
+        st.one_of(st.sampled_from([0.0, float(expit(0.0)), float(expit(0.5)), 1.0]),
+                  st.floats(0.0, 1.0)),
+        st.one_of(st.none(), st.floats(0.01, 1.0)),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_postprocess_bitwise(self, lo_case, hi_case, conf, nms_iou, as_lists):
+        lo, hi = (decode(raw, head, anchors, grid)
+                  for head, grid, raw, anchors in (lo_case, hi_case))
+        want = postprocess_reference(list(lo), list(hi), conf, nms_iou)
+        if as_lists:
+            lo, hi = list(lo), list(hi)
+        assert_same_detections(postprocess(lo, hi, conf, nms_iou), want)
+
+    @pytest.mark.parametrize("nms_iou", [None, 0.5])
+    def test_network_output_bitwise(self, rng, nms_iou):
+        spec = build_robo(1)
+        net = init_network(spec, seed=3)
+        net.anchors = make_anchors()
+        x = rng.normal(0, 1, (1, 3, *spec.input_hw)).astype(np.float32)
+        raw_lo, raw_hi = forward(net, x, mode="infer")
+        lo, hi = decode_network_output(raw_lo, raw_hi, spec, net.anchors)
+        want_lo = decode_reference(raw_lo, spec.head("head_lo"), net.anchors,
+                                   spec.head_grid(spec.head("head_lo")))
+        want_hi = decode_reference(raw_hi, spec.head("head_hi"), net.anchors,
+                                   spec.head_grid(spec.head("head_hi")))
+        assert_same_detections(lo, want_lo)
+        assert_same_detections(hi, want_hi)
+        conf = float(np.median([d.confidence for d in want_lo + want_hi]))
+        assert_same_detections(postprocess(lo, hi, conf, nms_iou),
+                               postprocess_reference(want_lo, want_hi, conf, nms_iou))
+
+
+coarse_box = st.builds(
+    BBox, *[st.integers(0, 8).map(lambda k: k / 8)] * 2,
+    *[st.integers(0, 4).map(lambda k: k / 8)] * 2,
+)
+any_box = st.one_of(
+    coarse_box,
+    st.builds(BBox, *[st.floats(-2.0, 2.0)] * 2, *[st.floats(0.0, 2.0)] * 2),
+)
+
+
+class TestIouMatrix:
+    @given(st.lists(any_box, max_size=6), st.lists(any_box, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_scalar_iou(self, a, b):
+        def columns(boxes):
+            table = np.array([(x.cx, x.cy, x.w, x.h) for x in boxes], dtype=np.float64)
+            return table.reshape(-1, 4).T
+
+        got = iou_matrix(columns(a), columns(b))
+        want = np.array([[iou(x, y) for y in b] for x in a], dtype=np.float64)
+        assert got.shape == (len(a), len(b))
+        assert got.tobytes() == want.reshape(len(a), len(b)).tobytes()
+
+    def test_touching_boxes_are_zero(self):
+        a = np.array([[0.25], [0.5], [0.5], [1.0]])
+        b = np.array([[0.75], [0.5], [0.5], [1.0]])
+        assert iou_matrix(a, b).tolist() == [[0.0]]
+
+
+class TestParseValidation:
+    @pytest.mark.parametrize("line", [
+        "4 0.5 0.5 0.5 0.1 0.1",
+        "7 0.5 0.5 0.5 0.1 0.1",
+        "-1 0.5 0.5 0.5 0.1 0.1",
+        "0 nan 0.5 0.5 0.1 0.1",
+        "0 0.5 inf 0.5 0.1 0.1",
+        "0 0.5 0.5 0.5 -inf 0.1",
+        "x 0.5 0.5 0.5 0.1 0.1",
+        "0 0.5 0.5 0.5 0.1 y",
+    ])
+    def test_bad_line_names_its_number(self, line):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_detections("1 0.5 0.5 0.5 0.1 0.1\n" + line + "\n")
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_random_text_raises_only_value_error(self, text):
+        try:
+            dets = parse_detections(text)
+        except ValueError:
+            return
+        for d in dets:
+            assert 0 <= d.class_id < len(CLASS_NAMES)
+            assert all(math.isfinite(v) for v in (d.confidence, d.box.cx, d.box.cy,
+                                                  d.box.w, d.box.h))
+
+    @given(st.integers(0, 3), st.lists(st.floats(allow_nan=False), min_size=5, max_size=5),
+           st.integers(0, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_truncated_line_raises_only_value_error(self, class_id, values, cut):
+        line = " ".join([str(class_id)] + [repr(v) for v in values])
+        try:
+            parse_detections(line[:cut])
+        except ValueError:
+            pass

@@ -1,11 +1,13 @@
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robodet.detect import BBox, Detection, iou
+from robodet.detect import BBox, Detection, as_detections, iou
 from robodet.evaluate import (
     DEFAULT_DISTANCE_SWEEP,
     DEFAULT_IOU_SWEEP,
@@ -15,8 +17,10 @@ from robodet.evaluate import (
     default_criteria,
     evaluate_detections,
     match,
+    write_per_class_csv,
     write_report_csv,
 )
+from robodet.model import CLASS_NAMES
 
 IMG = (640, 480)
 
@@ -249,3 +253,186 @@ def test_report_csv_layout(tmp_path):
     assert lines[0] == "model,iou@0.5,dist@16px"
     assert lines[1].startswith("robo,1.0000")
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the scalar pair-loop matcher and the dict-of-lists
+# evaluate_detections that the score-matrix path replaced.  ``hypot`` is
+# math.hypot in the original; the matrix path uses np.hypot, which may differ
+# in the last ulp.
+
+
+def _pair_score_reference(det, gt_box, crit, hypot):
+    if crit.kind == "iou":
+        s = iou(det.box, gt_box)
+        return s >= crit.threshold, s
+    w, h = crit.image_size
+    d = hypot((det.box.cx - gt_box.cx) * w, (det.box.cy - gt_box.cy) * h)
+    return d <= crit.threshold, -d
+
+
+def match_reference(dets, gts, crit, hypot=math.hypot):
+    flags = np.zeros(len(dets), dtype=bool)
+    taken = [False] * len(gts)
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
+    for i in order:
+        det = dets[i]
+        best = None
+        for g, (gt_class, gt_box) in enumerate(gts):
+            if taken[g] or gt_class != det.class_id:
+                continue
+            ok, score = _pair_score_reference(det, gt_box, crit, hypot)
+            if ok and (best is None or score > best[1]):
+                best = (g, score)
+        if best is not None:
+            taken[best[0]] = True
+            flags[i] = True
+    return flags
+
+
+def evaluate_detections_reference(per_image_dets, per_image_gts, criteria, hypot=math.hypot):
+    reports = []
+    for crit in criteria:
+        confs = {c: [] for c in range(len(CLASS_NAMES))}
+        tps = {c: [] for c in range(len(CLASS_NAMES))}
+        n_gt = {c: 0 for c in range(len(CLASS_NAMES))}
+        for dets, gts in zip(per_image_dets, per_image_gts):
+            flags = match_reference(dets, gts, crit, hypot)
+            for det, flag in zip(dets, flags):
+                confs[det.class_id].append(det.confidence)
+                tps[det.class_id].append(flag)
+            for gt_class, _ in gts:
+                n_gt[gt_class] += 1
+        ap = {}
+        counts = {}
+        for c in range(len(CLASS_NAMES)):
+            ap[c] = average_precision(confs[c], tps[c], n_gt[c])
+            tp = int(np.sum(tps[c])) if tps[c] else 0
+            fp = len(tps[c]) - tp
+            counts[c] = (tp, fp, n_gt[c] - tp)
+        reports.append(EvalReport(crit, ap, counts))
+    return reports
+
+
+def np_hypot(x, y):
+    return float(np.hypot(x, y))
+
+
+# 64x48 pixels: a 1/16 grid step is 4 px across and 3 px down, so center
+# distances land exactly on the 4..64 px thresholds and on each other.
+SMALL_IMG = (64, 48)
+SMALL_CRITERIA = default_criteria(SMALL_IMG)
+
+# Coordinates on a 1/16 grid give identical, touching (IoU 0) and exactly
+# half-overlapping boxes; free floats cover the rest.
+coord = st.one_of(st.integers(0, 16).map(lambda k: k / 16), st.floats(0.0, 1.0))
+size = st.one_of(st.integers(1, 6).map(lambda k: k / 16), st.floats(0.01, 0.5))
+box = st.builds(BBox, coord, coord, size, size)
+class_id = st.integers(0, 3)
+detection = st.builds(Detection, box, class_id,
+                      st.one_of(st.integers(0, 4).map(lambda k: k / 4), st.floats(0.0, 1.0)))
+
+
+@st.composite
+def ground_truths(draw):
+    """(class_id, BBox) pairs, some repeated, so coincident ground truths
+    tie on every score."""
+    base = draw(st.lists(st.tuples(class_id, box), max_size=5))
+    return base + base[: draw(st.integers(0, 2))]
+
+
+image = st.tuples(st.lists(detection, max_size=8), ground_truths())
+
+
+def hypot_differs(per_image_dets, per_image_gts, criteria):
+    """Whether np.hypot and math.hypot disagree on any scored pair."""
+    for crit in criteria:
+        if crit.kind != "center_distance":
+            continue
+        w, h = crit.image_size
+        for dets, gts in zip(per_image_dets, per_image_gts):
+            for d in dets:
+                for _, g in gts:
+                    x, y = (d.box.cx - g.cx) * w, (d.box.cy - g.cy) * h
+                    if math.hypot(x, y) != np_hypot(x, y):
+                        return True
+    return False
+
+
+class TestMatrixMatchesPairLoop:
+    @given(image, st.sampled_from(SMALL_CRITERIA), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_match_flags(self, img, crit, as_arrays):
+        dets, gts = img
+        got = match(as_detections(dets) if as_arrays else dets, gts, crit)
+        assert got.dtype == bool and got.shape == (len(dets),)
+        # Exactly the pair loop run with the matrix's hypot ...
+        assert got.tolist() == match_reference(dets, gts, crit, np_hypot).tolist()
+        # ... and the original pair loop unless the two hypots disagree.
+        if not hypot_differs([dets], [gts], [crit]):
+            assert got.tolist() == match_reference(dets, gts, crit).tolist()
+
+    @pytest.mark.parametrize("crit", SMALL_CRITERIA, ids=lambda c: c.label)
+    def test_edge_cases(self, crit):
+        a = BBox(0.25, 0.5, 0.5, 1.0)
+        touching = BBox(0.75, 0.5, 0.5, 1.0)
+        dets = [Detection(a, 0, 0.5), Detection(a, 0, 0.5), Detection(touching, 0, 0.9)]
+        for gts in ([], [(0, a), (0, a)], [(0, touching)], [(1, a)]):
+            assert match(dets, gts, crit).tolist() == match_reference(dets, gts, crit).tolist()
+            assert match([], gts, crit).tolist() == []
+
+    def test_coincident_ground_truths_go_to_the_lower_index(self):
+        # Equal scores: each detection takes the lowest free ground truth,
+        # so both are claimed and both detections are true positives.
+        b = BBox(0.5, 0.5, 0.2, 0.2)
+        flags = match([Detection(b, 0, 0.9), Detection(b, 0, 0.8)], [(0, b), (0, b)],
+                      MatchCriterion("iou", 0.5))
+        assert flags.tolist() == [True, True]
+
+    @pytest.mark.parametrize("crit", [MatchCriterion("iou", 0.5),
+                                      MatchCriterion("center_distance", 16.0, SMALL_IMG)],
+                             ids=lambda c: c.label)
+    def test_score_tie_goes_to_the_lower_index(self, crit):
+        # The first detection scores the same against both ground truths and
+        # must take the first; the second detection only qualifies for the
+        # first ground truth, so it is then left without one.
+        gts = [(0, BBox(0.375, 0.5, 0.5, 0.5)), (0, BBox(0.625, 0.5, 0.5, 0.5))]
+        dets = [Detection(BBox(0.5, 0.5, 0.5, 0.5), 0, 0.9),
+                Detection(BBox(0.25, 0.5, 0.5, 0.5), 0, 0.8)]
+        assert match(dets, gts, crit).tolist() == [True, False]
+        assert match_reference(dets, gts, crit).tolist() == [True, False]
+
+    @given(st.lists(image, max_size=4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_evaluate_detections_aps_and_counts(self, images, as_arrays):
+        per_dets = [dets for dets, _ in images]
+        per_gts = [gts for _, gts in images]
+        given_dets = [as_detections(d) for d in per_dets] if as_arrays else per_dets
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = evaluate_detections(given_dets, per_gts, SMALL_CRITERIA)
+            wants = [evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA, np_hypot)]
+            if not hypot_differs(per_dets, per_gts, SMALL_CRITERIA):
+                wants.append(evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA))
+        for want in wants:
+            assert [r.ap for r in got] == [r.ap for r in want]
+            assert [r.counts for r in got] == [r.counts for r in want]
+
+    @given(st.lists(image, min_size=1, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_per_class_csv_counts(self, tmp_path_factory, images):
+        per_dets = [dets for dets, _ in images]
+        per_gts = [gts for _, gts in images]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reports = evaluate_detections(per_dets, per_gts, SMALL_CRITERIA)
+            want = evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA, np_hypot)
+        path = tmp_path_factory.mktemp("per_class") / "classes.csv"
+        write_per_class_csv(path, "robo", reports)
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["criterion"] for row in rows] == [c.label for c in SMALL_CRITERIA]
+        for row, r in zip(rows, want):
+            for c, name in enumerate(CLASS_NAMES):
+                got = tuple(int(row[f"{name}_{k}"]) for k in ("tp", "fp", "fn"))
+                assert got == r.counts[c]
