@@ -160,7 +160,7 @@ def _add_train_flags(p, require_model=True):
     p.add_argument("--seed", type=int, default=None)
     if require_model:
         p.add_argument("--model", default="robo", choices=sorted(model_mod._BUILDERS))
-        p.add_argument("--k", type=int, default=1, help="resolution multiplier")
+        p.add_argument("--k", type=_positive_int, default=1, help="resolution multiplier")
 
 
 def cmd_gen_data(args) -> int:
@@ -233,6 +233,17 @@ def _train_config_prune(args):
     return _config_with_overrides(args.config, overrides)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and multipliers: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _check_conf(conf: float) -> None:
     if not 0.0 <= conf <= 1.0:
         raise CliError(f"--conf must lie in [0, 1], got {conf}")
@@ -249,7 +260,7 @@ def cmd_detect(args) -> int:
     for image_path in args.images:
         image = data_mod.read_ppm(image_path)
         x = data_mod.rgb_to_yuv(image)[None]
-        raw_lo, raw_hi = model_mod.forward(net, x, mode="infer", use_sparse=args.sparse)
+        raw_lo, raw_hi = model_mod.forward(net, x, mode="infer")
         lo, hi = detect_mod.decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
         dets = detect_mod.postprocess(lo, hi, conf_threshold=args.conf, nms_iou=args.nms)
         dump = detect_mod.format_detections(dets)
@@ -312,13 +323,10 @@ def cmd_bench(args) -> int:
         net = _load_net(args.weights)
     else:
         net = model_mod.init_network(model_mod.build_spec(args.model, args.k), args.seed)
-    mean_ms, std_ms, pinned = perf_mod.benchmark(
-        net, repeats=args.repeats, use_sparse=args.sparse
-    )
+    mean_ms, std_ms, pinned = perf_mod.benchmark(net, repeats=args.repeats)
     fps = 1000.0 / mean_ms if mean_ms > 0 else float("inf")
-    mode = "sparse" if args.sparse else "dense"
     threads = "single thread" if pinned else "BLAS threads not pinned"
-    print(f"{net.spec.name} ({mode}): {mean_ms:.2f} ms +/- {std_ms:.2f} ms "
+    print(f"{net.spec.name}: {mean_ms:.2f} ms +/- {std_ms:.2f} ms "
           f"({fps:.1f} FPS, {threads}, {args.repeats} runs)")
     return 0
 
@@ -329,7 +337,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="render a deterministic toy dataset")
-    p.add_argument("--n", type=int, required=True, help="number of images")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of images")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--style", default="A", choices=sorted(data_mod.STYLES))
     p.add_argument("--out", required=True, help="output directory")
@@ -369,7 +377,6 @@ def build_parser() -> _Parser:
     p.add_argument("--nms", type=float, default=None,
                    help="per-class NMS IoU threshold (off unless given)")
     p.add_argument("--out-dir", dest="out_dir", help="write dumps + overlays here")
-    p.add_argument("--sparse", action="store_true", help="use the pruned execution path")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="mAP sweep over IoU and center-distance criteria")
@@ -383,7 +390,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ops", help="analytic MAC counts")
     p.add_argument("--model", default="robo",
                    choices=sorted(model_mod._BUILDERS) + ["tiny_yolo_ref"])
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_positive_int, default=2)
     p.add_argument("--weights", help="account for this net's prune masks")
     p.add_argument("--csv", help="also write the table as CSV")
     p.add_argument("--compare", action="store_true",
@@ -393,9 +400,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="forward-pass benchmark (one BLAS thread if pinnable)")
     p.add_argument("--weights")
     p.add_argument("--model", default="robo", choices=sorted(model_mod._BUILDERS))
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--sparse", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -56,10 +56,36 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
+    """Decode a binary PPM (P6) image with maxval 255 into (h, w, 3) uint8.
+
+    A malformed file raises ValueError naming the path.
+    """
+    data, w, h, pos = _read_ppm_layout(path)
+    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
+    return pixels.reshape(h, w, 3).copy()
+
+
+def ppm_size(path) -> tuple[int, int]:
+    """Read (width, height) from a PPM header without decoding pixels."""
+    _, w, h, _ = _read_ppm_layout(path)
+    return w, h
+
+
+def _read_ppm_layout(path):
+    """(file bytes, width, height, pixel data offset) of a checked P6 file."""
     with open(path, "rb") as f:
         data = f.read()
+    try:
+        w, h, pos = _parse_ppm(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return data, w, h, pos
+
+
+def _parse_ppm(data: bytes) -> tuple[int, int, int]:
+    """(width, height, pixel data offset) of P6 bytes holding all the pixels."""
     if not data.startswith(b"P6"):
-        raise ValueError(f"{path}: not a binary PPM (P6) file")
+        raise ValueError("not a binary PPM (P6) file")
     # Header: magic, width, height, maxval; '#' comments allowed between tokens.
     pos = 2
     fields = []
@@ -67,34 +93,29 @@ def read_ppm(path) -> np.ndarray:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if data[pos : pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
+            end = data.find(b"\n", pos)
+            if end < 0:
+                raise ValueError("header comment runs to the end of the file")
+            pos = end + 1
             continue
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
+        token = data[start:pos]
+        if not token:
+            raise ValueError("header ends before width, height and maxval")
+        if not token.isdigit():
+            raise ValueError(f"malformed header field {token[:16]!r}")
+        fields.append(int(token))
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"image size {w}x{h} is not positive")
     if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
-    return pixels.reshape(h, w, 3).copy()
-
-
-def ppm_size(path) -> tuple[int, int]:
-    """Read (width, height) from a PPM header without decoding pixels."""
-    with open(path, "rb") as f:
-        head = f.read(128)
-    if not head.startswith(b"P6"):
-        raise ValueError(f"{path}: not a binary PPM (P6) file")
-    tokens = []
-    for token in head[2:].split():
-        if token.startswith(b"#"):
-            continue
-        tokens.append(int(token))
-        if len(tokens) == 2:
-            return tokens[0], tokens[1]
-    raise ValueError(f"{path}: malformed PPM header")
+        raise ValueError(f"unsupported maxval {maxval}")
+    pos += 1  # single whitespace after maxval
+    if len(data) - pos < w * h * 3:
+        raise ValueError(f"truncated pixel data: {len(data) - pos} of {w * h * 3} bytes")
+    return w, h, pos
 
 
 # ---------------------------------------------------------------------------

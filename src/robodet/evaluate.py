@@ -166,7 +166,7 @@ def default_criteria(image_size) -> list[MatchCriterion]:
     return crits
 
 
-def evaluate(net, index, criteria=None, conf_threshold: float = 0.01, use_sparse=False):
+def evaluate(net, index, criteria=None, conf_threshold: float = 0.01):
     """Run inference over a dataset index and score the criterion sweep."""
     if criteria is None:
         criteria = default_criteria(index.image_size)
@@ -175,7 +175,7 @@ def evaluate(net, index, criteria=None, conf_threshold: float = 0.01, use_sparse
     for i in range(len(index)):
         image, annotations = data_mod.load_sample(index, i)
         x = data_mod.rgb_to_yuv(image)[None]
-        raw_lo, raw_hi = model_mod.forward(net, x, mode="infer", use_sparse=use_sparse)
+        raw_lo, raw_hi = model_mod.forward(net, x, mode="infer")
         lo, hi = detect_mod.decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
         per_image_dets.append(detect_mod.postprocess(lo, hi, conf_threshold=conf_threshold))
         per_image_gts.append([(a.class_id, a.box) for a in annotations])

@@ -32,10 +32,6 @@ HEAD_HI = "head_hi"
 WEIGHT_MAGIC = b"ROBO"
 WEIGHT_VERSION = 1
 
-# Density below which a pruned layer is run through the compressed
-# (index, value) matrix product instead of the dense one.
-SPARSE_DENSITY_THRESHOLD = 0.35
-
 
 class WeightFormatError(ValueError):
     """Base error for weight file problems."""
@@ -308,7 +304,6 @@ class Network:
         self.layers: list[Layer] = layers
         self.heads: dict[str, Layer] = heads
         self.anchors = anchors  # (4, 2) float32, (width, height) per class
-        self._sparse: dict[int, object] | None = None
 
     def all_layers(self):
         """Backbone layers then heads, with their parameter-name prefixes."""
@@ -320,27 +315,9 @@ class Network:
     def apply_masks(self) -> None:
         for _, layer in self.all_layers():
             layer.apply_mask()
-        self.invalidate_sparse()
 
     def mask_dict(self) -> dict[str, np.ndarray]:
         return {name: layer.mask for name, layer in self.all_layers()}
-
-    def invalidate_sparse(self) -> None:
-        self._sparse = None
-
-    def _sparse_weights(self):
-        """Lazily built CSR weight matrices for layers dense enough to prune."""
-        if self._sparse is None:
-            from scipy.sparse import csr_matrix
-
-            table = {}
-            for name, layer in self.all_layers():
-                density = layer.mask.mean()
-                if density < SPARSE_DENSITY_THRESHOLD:
-                    w2 = layer.conv.weights.reshape(layer.conv.out_ch, -1)
-                    table[name] = csr_matrix(w2)
-            self._sparse = table
-        return self._sparse
 
 
 def init_network(spec: ModelSpec, seed: int = 0) -> Network:
@@ -365,8 +342,8 @@ def init_network(spec: ModelSpec, seed: int = 0) -> Network:
     return Network(spec, layers, heads, anchors)
 
 
-def _layer_forward(layer: Layer, x, mode, sparse_w=None, cache=None):
-    z = conv2d_forward(x, layer.conv, sparse_w=sparse_w)
+def _layer_forward(layer: Layer, x, mode, cache=None):
+    z = conv2d_forward(x, layer.conv)
     zn = batch_norm(z, layer.bn, mode) if layer.bn is not None else z
     a = leaky_relu(zn) if layer.spec.activation == "leaky" else zn
     if cache is not None:
@@ -374,37 +351,36 @@ def _layer_forward(layer: Layer, x, mode, sparse_w=None, cache=None):
     return a
 
 
-def forward(net: Network, x: np.ndarray, mode: str = "infer", use_sparse: bool = False):
+def forward(net: Network, x: np.ndarray, mode: str = "infer"):
     """Run the network; returns (raw_lo, raw_hi) head output tensors."""
-    out, _ = _forward_impl(net, x, mode, use_sparse, keep_cache=False)
+    out, _ = _forward_impl(net, x, mode, keep_cache=False)
     return out
 
 
 def forward_with_cache(net: Network, x: np.ndarray):
     """Train-mode forward keeping per-layer activations for backward()."""
-    return _forward_impl(net, x, "train", False, keep_cache=True)
+    return _forward_impl(net, x, "train", keep_cache=True)
 
 
-def _forward_impl(net, x, mode, use_sparse, keep_cache):
+def _forward_impl(net, x, mode, keep_cache):
     expected = (x.shape[0], 3) + net.spec.input_hw
     if x.ndim != 4 or x.shape[1:] != expected[1:]:
         raise ShapeError(
             f"input shape {tuple(x.shape)} does not match model input "
             f"(n, 3, {net.spec.input_hw[0]}, {net.spec.input_hw[1]})"
         )
-    sparse = net._sparse_weights() if use_sparse else {}
     cache = [] if keep_cache else None
     taps = {}
     h = x
-    for i, layer in enumerate(net.layers, start=1):
-        h = _layer_forward(layer, h, mode, sparse.get(f"l{i}"), cache)
+    for layer in net.layers:
+        h = _layer_forward(layer, h, mode, cache)
         if layer.spec.tap:
             taps[layer.spec.tap] = h
     raws = {}
     head_cache = {}
     for name in (HEAD_LO, HEAD_HI):
         layer = net.heads[name]
-        raws[name] = conv2d_forward(taps[name], layer.conv, sparse_w=sparse.get(name))
+        raws[name] = conv2d_forward(taps[name], layer.conv)
         head_cache[name] = taps[name]
     full_cache = {"layers": cache, "taps": head_cache} if keep_cache else None
     return (raws[HEAD_LO], raws[HEAD_HI]), full_cache
@@ -499,14 +475,15 @@ def save_weights(net: Network, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, path):
         self.data = data
+        self.path = path
         self.pos = 0
         self.context = "header"
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise TruncatedFileError(f"file truncated while reading {self.context}")
+            raise TruncatedFileError(f"{self.path}: file truncated while reading {self.context}")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -520,22 +497,27 @@ class _Reader:
 
 
 def load_weights(path) -> Network:
+    """Read a weight file; a malformed file raises a WeightFormatError
+    subclass naming the path."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
+        r = _Reader(f.read(), path)
     if r.take(4) != WEIGHT_MAGIC:
         raise BadMagicError(f"{path}: bad magic, not a robodet weight file")
     (version,) = r.unpack("<H")
     if version != WEIGHT_VERSION:
         raise VersionError(f"{path}: format version {version}, expected {WEIGHT_VERSION}")
     (name_len,) = r.unpack("<H")
-    name = r.take(name_len).decode()
+    name = r.take(name_len)
     k, layer_count = r.unpack("<HH")
-    spec = build_spec(name, k)
+    try:
+        spec = build_spec(name.decode(), k)
+    except ValueError:  # also an undecodable name (UnicodeDecodeError)
+        raise SpecMismatchError(f"{path}: no model {name!r} at k={k}") from None
     net = init_network(spec, seed=0)
     expected = list(net.all_layers())
     if layer_count != len(expected):
         raise SpecMismatchError(
-            f"{path}: {layer_count} layers in file, spec {name} has {len(expected)}"
+            f"{path}: {layer_count} layers in file, spec {spec.name} has {len(expected)}"
         )
     for lname, layer in expected:
         r.context = f"layer {lname}"
@@ -562,6 +544,11 @@ def load_weights(path) -> Network:
             layer.bn.gamma, layer.bn.beta = vals[0], vals[1]
             layer.bn.mean, layer.bn.var = vals[2], vals[3]
         (mask_bytes,) = r.unpack("<I")
+        packed_size = -(-c.weights.size // 8)
+        if mask_bytes != packed_size:
+            raise SpecMismatchError(
+                f"{path}: layer {lname} mask has {mask_bytes} bytes, spec expects {packed_size}"
+            )
         packed = np.frombuffer(r.take(mask_bytes), dtype=np.uint8)
         bits = np.unpackbits(packed, bitorder="little")[: c.weights.size]
         layer.mask = bits.astype(bool).reshape(c.weights.shape)

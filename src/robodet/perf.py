@@ -192,7 +192,7 @@ class BenchResult(NamedTuple):
     threads_pinned: bool  # whether BLAS was really limited to one thread
 
 
-def benchmark(net: Network, x=None, repeats: int = 10, use_sparse: bool = False):
+def benchmark(net: Network, x=None, repeats: int = 10):
     """Mean/std milliseconds over forward passes, after one untimed warmup
     run.  BLAS is limited to one thread when threadpoolctl is installed;
     ``threads_pinned`` says whether it was."""
@@ -211,9 +211,9 @@ def benchmark(net: Network, x=None, repeats: int = 10, use_sparse: bool = False)
         pinned = False
     times = []
     with limit:
-        forward(net, x, mode="infer", use_sparse=use_sparse)  # warmup
+        forward(net, x, mode="infer")  # warmup
         for _ in range(repeats):
             start = time.perf_counter()
-            forward(net, x, mode="infer", use_sparse=use_sparse)
+            forward(net, x, mode="infer")
             times.append((time.perf_counter() - start) * 1000.0)
     return BenchResult(float(np.mean(times)), float(np.std(times)), pinned)

@@ -129,23 +129,15 @@ def col2im(
     return x
 
 
-def conv2d_forward(x: np.ndarray, params: ConvParams, sparse_w=None) -> np.ndarray:
-    """Cross-correlate x with the conv weights via one im2col matrix product.
-
-    ``sparse_w`` optionally supplies a scipy CSR view of the flattened weight
-    matrix; when given, the matrix product runs through it instead of the
-    dense weights (used by the pruned inference path).
-    """
+def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
+    """Cross-correlate x with the conv weights via one im2col matrix product."""
     _check_conv_input(x, params)
     n = x.shape[0]
     out_h = x.shape[2] // params.stride
     out_w = x.shape[3] // params.stride
     cols = im2col(x, params.kernel, params.stride, params.padding)
-    if sparse_w is not None:
-        out = np.stack([sparse_w.dot(cols[b]) for b in range(n)])
-    else:
-        w2 = params.weights.reshape(params.out_ch, -1)
-        out = np.matmul(w2, cols)
+    w2 = params.weights.reshape(params.out_ch, -1)
+    out = np.matmul(w2, cols)
     out += params.bias[:, None]
     return out.reshape(n, params.out_ch, out_h, out_w)
 

@@ -55,6 +55,12 @@ class TrainConfig:
     transfer_lr_factor: float = 10.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr_max) and self.lr_max > 0):
+            raise ValueError(f"lr_max must be finite and positive, got {self.lr_max}")
+        if not (math.isfinite(self.lr_min) and self.lr_min >= 0):
+            raise ValueError(f"lr_min must be finite and non-negative, got {self.lr_min}")
+        if not (math.isfinite(self.finetune_lr) and self.finetune_lr > 0):
+            raise ValueError(f"finetune_lr must be finite and positive, got {self.finetune_lr}")
         if self.lr_min > self.lr_max:
             raise ValueError("lr_min must not exceed lr_max")
         if not 0.0 < self.prune_threshold < 1.0:
@@ -429,7 +435,6 @@ def train_loop(
     state = AdamState(params)
     total_steps = epochs * n_batches
     weight_names = _weight_param_names(net)
-    net.invalidate_sparse()
     metrics = []
     log_file = open(log_path, "a") if log_path else None
     try:
@@ -483,7 +488,6 @@ def train_loop(
     finally:
         if log_file:
             log_file.close()
-    net.invalidate_sparse()
     return metrics
 
 
@@ -518,7 +522,6 @@ def prune(net: Network, theta: float):
         per_layer[name] = 1.0 - float(mask.mean())
         pruned += int((~mask).sum())
         total += mask.size
-    net.invalidate_sparse()
     return net, PruneReport(per_layer, pruned / total)
 
 

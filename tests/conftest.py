@@ -7,6 +7,20 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Scratch directory shared by the examples of a hypothesis fuzz test."""
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def flip_bytes(raw: bytes, flips) -> bytes:
+    """raw with each (position, value) of flips written over it."""
+    out = bytearray(raw)
+    for pos, value in flips:
+        out[pos] = value
+    return bytes(out)
+
+
 def naive_conv2d(x, weights, bias, stride, padding):
     """Six-loop reference convolution (float64), independent of im2col."""
     x = np.asarray(x, dtype=np.float64)

@@ -111,6 +111,62 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and "--repeats" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--weights", "/nonexistent.rbw", "--images", "x.ppm", "--sparse"],
+        ["bench", "--sparse"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_sparse_flag_is_flag_error(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "--sparse" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr-max", "nan"), ("--lr-max", "-1"), ("--lr-max", "0"), ("--lr-max", "inf"),
+        ("--lr-min", "nan"), ("--lr-min", "-1"),
+    ])
+    def test_bad_learning_rate_flag_is_validation_error(self, toy_dir, tmp_path, capsys,
+                                                        flag, value):
+        out = tmp_path / "x.rbw"
+        code = main(["train", "--data", str(toy_dir), "--out", str(out), flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["lr_max=nan", "lr_min=-1e-4", "finetune_lr=0"])
+    def test_bad_learning_rate_in_config_is_validation_error(self, toy_dir, tmp_path,
+                                                             capsys, line):
+        config = tmp_path / "train.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "x.rbw"
+        code = main(["train", "--data", str(toy_dir), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 1
+        assert line.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--n", "0", "--out", "never"],
+        ["gen-data", "--n", "-2", "--out", "never"],
+        ["train", "--data", "never", "--out", "never.rbw", "--k", "0"],
+        ["ops", "--k", "0"],
+        ["bench", "--k", "0"],
+    ], ids=["gen-data --n 0", "gen-data --n -2", "train --k 0", "ops --k 0", "bench --k 0"])
+    def test_count_below_one_is_flag_error(self, tmp_path, monkeypatch, capsys, argv):
+        # Run where "never" does not exist: exit 1 and no output directory
+        # show the flag is checked before any work.
+        monkeypatch.chdir(tmp_path)
+        flag = argv[argv.index("--n") if "--n" in argv else argv.index("--k")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and flag in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestGenDataAnchors:
     def test_smoke_pipeline(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from robodet.data import (
     load_annotations,
     load_index,
     load_sample,
+    ppm_size,
     read_ppm,
     rgb_to_yuv,
     save_annotations,
@@ -19,6 +20,8 @@ from robodet.data import (
     yuv_to_rgb,
 )
 from robodet.detect import BBox
+
+from conftest import flip_bytes
 
 
 class TestPpm:
@@ -37,6 +40,52 @@ class TestPpm:
         (tmp_path / "bad.ppm").write_bytes(b"P3\n1 1\n255\n0 0 0")
         with pytest.raises(ValueError, match="P6"):
             read_ppm(tmp_path / "bad.ppm")
+
+    @pytest.mark.parametrize("raw, reason", [
+        (b"P6\n3 2\n255\n" + bytes(17), "truncated pixel data: 17 of 18"),
+        (b"P6\n3 x\n255\n" + bytes(18), "malformed header field b'x'"),
+        (b"P6\n-3 2\n255\n" + bytes(18), "malformed header field b'-3'"),
+        (b"P6\n0 2\n255\n", "size 0x2 is not positive"),
+        (b"P6\n3 0\n255\n", "size 3x0 is not positive"),
+        (b"P6\n3 2 # no newline", "comment runs to the end"),
+        (b"P6\n3 2", "header ends"),
+        (b"P6\n3 2\n255", "truncated pixel data"),
+        (b"P6\n3 2\n65535\n" + bytes(36), "unsupported maxval 65535"),
+    ], ids=["short-pixels", "letter", "negative", "zero-width", "zero-height",
+            "open-comment", "no-maxval", "no-pixels", "maxval"])
+    def test_malformed_names_file(self, tmp_path, raw, reason):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            read_ppm(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert reason in str(info.value)
+
+    def test_size_skips_multi_word_comment(self, tmp_path):
+        path = tmp_path / "c.ppm"
+        path.write_bytes(b"P6\n# two words\n3 2\n255\n" + bytes(18))
+        assert ppm_size(path) == (3, 2)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_raises_only_value_error_naming_file(self, fuzz_dir, data):
+        valid = b"P6\n# c\n4 3\n255\n" + bytes(range(36))
+        raw = data.draw(st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=64).map(lambda tail: b"P6" + tail),
+            st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+            st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
+                     min_size=1, max_size=4).map(lambda flips: flip_bytes(valid, flips)),
+        ))
+        path = fuzz_dir / "f.ppm"
+        path.write_bytes(raw)
+        try:
+            image = read_ppm(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert image.dtype == np.uint8 and image.ndim == 3 and image.shape[2] == 3
+            assert image.size > 0
 
 
 class TestAnnotations:

@@ -1,14 +1,21 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robodet import model
 from robodet.model import (
     HEAD_HI,
     HEAD_LO,
+    WEIGHT_MAGIC,
+    WEIGHT_VERSION,
     BadMagicError,
     SpecMismatchError,
     TruncatedFileError,
     VersionError,
+    WeightFormatError,
     build_robo,
     build_robo_bn,
     build_robo_hr,
@@ -23,6 +30,8 @@ from robodet.model import (
     spec_to_text,
 )
 from robodet.tensor import ShapeError
+
+from conftest import flip_bytes
 
 
 class TestBuilders:
@@ -200,6 +209,15 @@ class TestForward:
         np.testing.assert_allclose(raw_lo[1:2], one, atol=1e-5)
 
 
+@pytest.fixture(scope="module")
+def weight_blob(tmp_path_factory):
+    net = init_network(build_robo(1), seed=0)
+    net.layers[0].mask[0] = False
+    path = tmp_path_factory.mktemp("blob") / "net.rbw"
+    save_weights(net, path)
+    return path.read_bytes()
+
+
 class TestWeightFile:
     def test_round_trip_bitwise(self, tmp_path, rng):
         net = init_network(build_robo(1), seed=11)
@@ -258,6 +276,50 @@ class TestWeightFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(SpecMismatchError):
             load_weights(path)
+
+    @pytest.mark.parametrize("name, k", [
+        (b"\xff\xfe\x00\x01", 1), (b"r;bo", 1), (b"", 1), (b"robo", 0), (b"robo_bn", 0),
+    ], ids=["undecodable", "unknown", "empty", "robo-k0", "robo_bn-k0"])
+    def test_unknown_spec_is_spec_mismatch(self, tmp_path, name, k):
+        path = tmp_path / "net.rbw"
+        header = WEIGHT_MAGIC + struct.pack("<HH", WEIGHT_VERSION, len(name)) + name
+        path.write_bytes(header + struct.pack("<HH", k, 17) + bytes(64))
+        with pytest.raises(SpecMismatchError) as info:
+            load_weights(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_short_mask_is_spec_mismatch(self, tmp_path):
+        net = init_network(build_robo(1), seed=0)
+        path = tmp_path / "net.rbw"
+        save_weights(net, path)
+        blob = bytearray(path.read_bytes())
+        # l1's mask length field follows its geometry, weights, bias and BN.
+        c, out_ch = net.layers[0].conv, net.layers[0].conv.out_ch
+        offset = 4 + 2 + 2 + len("robo") + 2 + 2 + 8 + 4 + 4 * (c.weights.size + out_ch)
+        offset += 1 + 16 * out_ch
+        assert struct.unpack_from("<I", blob, offset)[0] == -(-c.weights.size // 8)
+        struct.pack_into("<I", blob, offset, 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SpecMismatchError, match="layer l1 mask"):
+            load_weights(path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_raises_only_weight_format_error(self, weight_blob, fuzz_dir, data):
+        header_end = 64  # flips here hit the name, k, counts and l1's record
+        raw = data.draw(st.one_of(
+            st.integers(0, len(weight_blob) - 1).map(lambda n: weight_blob[:n]),
+            st.lists(st.tuples(st.integers(0, header_end), st.integers(0, 255)),
+                     min_size=1, max_size=3).map(lambda flips: flip_bytes(weight_blob, flips)),
+            st.lists(st.tuples(st.integers(0, len(weight_blob) - 1), st.integers(0, 255)),
+                     min_size=1, max_size=3).map(lambda flips: flip_bytes(weight_blob, flips)),
+        ))
+        path = fuzz_dir / "f.rbw"
+        path.write_bytes(raw)
+        try:
+            load_weights(path)
+        except WeightFormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
     def test_load_reapplies_masks(self, tmp_path):
         net = init_network(build_robo(1), seed=0)

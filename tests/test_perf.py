@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from robodet.model import build_robo, build_robo_bn, build_robo_hr, forward, init_network
+from robodet.model import build_robo, init_network
 from robodet.perf import (
     benchmark,
     compare,
@@ -111,28 +110,6 @@ class TestCompare:
         text = preset_comparison().format()
         assert "MAC" in text
         assert "tiny_yolo_ref" in text
-
-
-class TestSparsePath:
-    def test_sparse_forward_matches_dense(self, rng):
-        net = init_network(build_robo(1), seed=4)
-        prune(net, 0.5)  # aggressive: most layers under the density threshold
-        assert any(layer.mask.mean() < 0.35 for _, layer in net.all_layers())
-        x = rng.random((1, 3, 192, 256), dtype=np.float32)
-        dense = forward(net, x, mode="infer", use_sparse=False)
-        sparse = forward(net, x, mode="infer", use_sparse=True)
-        assert np.abs(dense[0] - sparse[0]).max() < 1e-4
-        assert np.abs(dense[1] - sparse[1]).max() < 1e-4
-
-    def test_sparse_cache_invalidated_by_prune(self, rng):
-        net = init_network(build_robo(1), seed=4)
-        prune(net, 0.3)
-        x = rng.random((1, 3, 192, 256), dtype=np.float32)
-        a = forward(net, x, mode="infer", use_sparse=True)
-        prune(net, 0.9)  # much sparser; cache must not serve stale weights
-        b = forward(net, x, mode="infer", use_sparse=True)
-        dense = forward(net, x, mode="infer", use_sparse=False)
-        np.testing.assert_allclose(b[0], dense[0], atol=1e-4)
 
 
 class TestBenchmark:

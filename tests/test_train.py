@@ -433,6 +433,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("batch", 0), ("batch", -3), ("finetune_epochs", -1),
         ("transfer_lr_factor", 0.0), ("transfer_lr_factor", -10.0),
+        ("lr_max", float("nan")), ("lr_max", float("inf")), ("lr_max", 0.0), ("lr_max", -1.0),
+        ("lr_min", float("nan")), ("lr_min", -1e-4),
+        ("finetune_lr", float("nan")), ("finetune_lr", 0.0), ("finetune_lr", float("-inf")),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -441,8 +444,9 @@ class TestConfigFile:
             parse_config(f"{field}={value}\n")
 
     def test_accepts_boundaries(self):
-        cfg = TrainConfig(epochs=1, batch=1, finetune_epochs=0, transfer_lr_factor=0.5)
-        assert (cfg.epochs, cfg.batch, cfg.finetune_epochs) == (1, 1, 0)
+        cfg = TrainConfig(epochs=1, batch=1, finetune_epochs=0, transfer_lr_factor=0.5,
+                          lr_min=0.0)
+        assert (cfg.epochs, cfg.batch, cfg.finetune_epochs, cfg.lr_min) == (1, 1, 0, 0.0)
 
 
 def test_epoch_batches_cover_dataset(rng):
