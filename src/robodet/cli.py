@@ -3,13 +3,12 @@
     gen-data  anchors  train  transfer  prune  detect  eval  ops  bench
 
 Exit codes: 0 success, 1 flag/validation error, 2 runtime failure.  All
-randomness flows from --seed.  ROBODET_THREADS caps data-loading workers.
+randomness flows from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -140,7 +139,10 @@ def _train_config(args) -> tuple[train_mod.TrainConfig, train_mod.LossWeights]:
 
 def _resolve_anchors(args, index) -> np.ndarray:
     if getattr(args, "anchors", None):
-        return detect_mod.load_anchors(args.anchors)
+        try:
+            return detect_mod.load_anchors(args.anchors)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     annotations = data_mod.load_all_annotations(index)
     return detect_mod.compute_anchors([(a.class_id, a.box) for a in annotations])
 

@@ -8,7 +8,6 @@ object, all fields normalized to the image.  A dataset directory holds an
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,16 +175,6 @@ def rgb_to_yuv(image: np.ndarray) -> np.ndarray:
     return np.stack([y, u, v])
 
 
-def yuv_to_rgb(yuv: np.ndarray) -> np.ndarray:
-    """Inverse of rgb_to_yuv, back to 8-bit (h, w, 3) RGB."""
-    y, u, v = yuv[0], yuv[1] - 0.5, yuv[2] - 0.5
-    r = y + 1.402 * v
-    g = y - 0.344136 * u - 0.714136 * v
-    b = y + 1.772 * u
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # Dataset index.
 
@@ -218,23 +207,9 @@ def load_sample(index: DatasetIndex, i: int):
     return image, annotations
 
 
-def loader_workers() -> int:
-    """Data-loading worker cap, from the ROBODET_THREADS env var."""
-    try:
-        return max(1, int(os.environ.get("ROBODET_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def load_all_samples(index: DatasetIndex, workers: int | None = None):
-    """Load every (image, annotations) pair, optionally with a thread pool."""
-    workers = loader_workers() if workers is None else workers
-    if workers <= 1 or len(index) < 2:
-        return [load_sample(index, i) for i in range(len(index))]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: load_sample(index, i), range(len(index))))
+def load_all_samples(index: DatasetIndex):
+    """Load every (image, annotations) pair in index order."""
+    return [load_sample(index, i) for i in range(len(index))]
 
 
 def load_all_annotations(index: DatasetIndex) -> list[Annotation]:

@@ -267,6 +267,11 @@ def parse_detections(text: str) -> list[Detection]:
     return out
 
 
+# The anchor sizes a float32 table holds as finite, positive (normal) numbers.
+_ANCHOR_MIN = float(np.finfo(np.float32).tiny)
+_ANCHOR_MAX = float(np.finfo(np.float32).max)
+
+
 def save_anchors(path, anchors: np.ndarray) -> None:
     with open(path, "w") as f:
         for name, (aw, ah) in zip(CLASS_NAMES, anchors):
@@ -283,7 +288,13 @@ def load_anchors(path) -> np.ndarray:
             parts = line.split()
             if len(parts) != 3 or parts[0] not in CLASS_NAMES:
                 raise ValueError(f"{path}:{lineno}: expected '<class> <w> <h>'")
-            table[parts[0]] = (float(parts[1]), float(parts[2]))
+            try:
+                size = (float(parts[1]), float(parts[2]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric anchor size") from None
+            if not all(_ANCHOR_MIN <= v <= _ANCHOR_MAX for v in size):  # False for NaN
+                raise ValueError(f"{path}:{lineno}: anchor size must be finite and positive")
+            table[parts[0]] = size
     missing = [n for n in CLASS_NAMES if n not in table]
     if missing:
         raise ValueError(f"{path}: missing anchors for {', '.join(missing)}")

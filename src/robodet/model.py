@@ -557,52 +557,3 @@ def load_weights(path) -> Network:
     net.apply_masks()
     return net
 
-
-# ---------------------------------------------------------------------------
-# Textual backbone format: `conv <kernel> <stride> <in> <out> [bn] [tap=...]`.
-
-
-def spec_to_text(spec: ModelSpec) -> str:
-    lines = [f"# {spec.name} k={spec.k} input={spec.input_hw[0]}x{spec.input_hw[1]}"]
-    for l in spec.layers:
-        parts = ["conv", str(l.kernel), str(l.stride), str(l.in_ch), str(l.out_ch)]
-        if l.has_bn:
-            parts.append("bn")
-        if l.tap:
-            parts.append(f"tap={l.tap}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def spec_from_text(text: str, name: str = "custom", k: int = 1) -> ModelSpec:
-    rows = []
-    taps = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "conv" or len(parts) < 5:
-            raise ValueError(f"line {lineno}: expected 'conv <k> <s> <in> <out> ...'")
-        try:
-            kk, s, ci, co = (int(p) for p in parts[1:5])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer layer field") from None
-        has_bn = "bn" in parts[5:]
-        tap = None
-        for extra in parts[5:]:
-            if extra.startswith("tap="):
-                tap = extra[4:]
-                if tap not in (HEAD_LO, HEAD_HI):
-                    raise ValueError(f"line {lineno}: unknown tap {tap!r}")
-        idx = len(rows) + 1
-        rows.append(LayerSpec(idx, kk, s, ci, co, has_bn=has_bn, tap=tap))
-        if tap:
-            taps[tap] = idx
-    if set(taps) != {HEAD_LO, HEAD_HI}:
-        raise ValueError("model text must tap exactly one head_lo and one head_hi")
-    heads = (
-        HeadSpec(HEAD_LO, taps[HEAD_LO], _HEAD_LO_CLASSES),
-        HeadSpec(HEAD_HI, taps[HEAD_HI], _HEAD_HI_CLASSES),
-    )
-    return _validate(ModelSpec(name, k, (k * 192, k * 256), tuple(rows), heads))

@@ -80,10 +80,6 @@ def count_macs(spec: ModelSpec, masks=None) -> OpReport:
     return OpReport(spec.name, layers)
 
 
-def count_macs_network(net: Network) -> OpReport:
-    return count_macs(net.spec, net.mask_dict())
-
-
 # Tiny YOLOv3 at 416x416, vendored as a static op-count reference.  Only the
 # convolutions appear (pooling/upsampling contribute no MACs); each row is
 # (name, kernel, in_ch, out_ch, out_h, out_w).

@@ -37,8 +37,11 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"loss weight {f.name} must be non-negative")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"loss weight {f.name} must be finite and non-negative, got {value}"
+                )
 
 
 @dataclass
@@ -94,24 +97,20 @@ def parse_config(text: str) -> tuple[TrainConfig, LossWeights]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _LOSS_KEYS:
-            loss_kwargs[_LOSS_KEYS[key]] = float(value)
-        elif key in known:
-            if key == "transfer_layers" and value.lower() == "none":
+        if key not in _LOSS_KEYS and key not in known:
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        try:
+            if key in _LOSS_KEYS:
+                loss_kwargs[_LOSS_KEYS[key]] = float(value)
+            elif key == "transfer_layers" and value.lower() == "none":
                 cfg_kwargs[key] = None
             elif key in _CONFIG_INT_FIELDS:
                 cfg_kwargs[key] = int(value)
             else:
                 cfg_kwargs[key] = float(value)
-        else:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return TrainConfig(**cfg_kwargs), LossWeights(**loss_kwargs)
-
-
-def format_config(cfg: TrainConfig, lw: LossWeights) -> str:
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)]
-    lines += [f"{key}={getattr(lw, attr)}" for key, attr in _LOSS_KEYS.items()]
-    return "\n".join(lines) + "\n"
 
 
 def cosine_lr(t: int, total: int, cfg: TrainConfig) -> float:
@@ -201,7 +200,7 @@ def detection_loss(raw_lo, raw_hi, targets, net: Network, lw: LossWeights):
     assigned = _assign_targets(targets, spec, net.anchors)
     raws = {HEAD_LO: raw_lo, HEAD_HI: raw_hi}
     grads = {}
-    loss = lw.l1 * _l1_term(net)
+    loss = lw.l1 * _l1_term(net) if lw.l1 else 0.0
     for head in spec.heads:
         raw = raws[head.name]
         grad = np.zeros_like(raw)
@@ -239,7 +238,7 @@ def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net, lw):
     grad_lo = np.zeros_like(raw_lo)
     grad_hi = np.zeros_like(raw_hi)
     total = 0.0
-    l1 = lw.l1 * _l1_term(net)
+    l1 = lw.l1 * _l1_term(net) if lw.l1 else 0.0
     for b in range(n):
         loss, glo, ghi = detection_loss(
             raw_lo[b : b + 1], raw_hi[b : b + 1], targets_per_image[b],
@@ -410,7 +409,6 @@ def train_loop(
     val_index=None,
     epochs: int | None = None,
     schedule: str = "cosine",
-    constant_lr: float | None = None,
     lr_scale=None,
     assert_masks: bool = False,
     augment_data: bool = True,
@@ -465,7 +463,7 @@ def train_loop(
                 if schedule == "cosine":
                     lr = cosine_lr(step, total_steps, cfg)
                 else:
-                    lr = constant_lr if constant_lr is not None else cfg.finetune_lr
+                    lr = cfg.finetune_lr
                 adam_step(params, grads, state, lr, masks=active_masks, lr_scale=lr_scale)
                 if assert_masks:
                     for name, m in active_masks.items():
@@ -542,7 +540,6 @@ def finetune_pruned(net: Network, index, cfg: TrainConfig, lw: LossWeights, val_
         val_index=val_index,
         epochs=cfg.finetune_epochs,
         schedule="constant",
-        constant_lr=cfg.finetune_lr,
         assert_masks=True,
         log_path=log_path,
     )

@@ -46,6 +46,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--epochs", "0"), ("--batch", "0"), ("--batch", "-3"), ("--l1", "-1"),
+        ("--l1", "nan"), ("--l1", "inf"),
     ])
     def test_bad_train_value_is_validation_error(self, toy_dir, tmp_path, capsys,
                                                  flag, value):
@@ -146,6 +147,40 @@ class TestExitCodes:
                      "--config", str(config)])
         assert code == 1
         assert line.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("lambda_coord=inf", "loss weight coord must be finite"),
+        ("epochs=abc", "line 1: epochs: invalid literal"),
+        ("lr_max=", "line 1: lr_max: could not convert"),
+        ("lambda_l1=x", "line 1: lambda_l1: could not convert"),
+    ])
+    def test_bad_config_line_names_the_value(self, toy_dir, tmp_path, capsys, line,
+                                             message):
+        config = tmp_path / "train.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "x.rbw"
+        code = main(["train", "--data", str(toy_dir), "--out", str(out),
+                     "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [
+        "ball abc 0.1", "ball nan 0.1", "crossing -1 0.1", "goalpost inf 0",
+    ])
+    def test_bad_anchor_file_is_validation_error(self, toy_dir, tmp_path, capsys, line):
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text(f"# sizes\n{line}\n")
+        out = tmp_path / "x.rbw"
+        code = main(["train", "--data", str(toy_dir), "--out", str(out),
+                     "--anchors", str(anchors), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {anchors}:2: ")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

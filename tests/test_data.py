@@ -17,7 +17,6 @@ from robodet.data import (
     rgb_to_yuv,
     save_annotations,
     write_ppm,
-    yuv_to_rgb,
 )
 from robodet.detect import BBox
 
@@ -187,11 +186,6 @@ class TestYuv:
                 got = yuv[:, y, x]
                 assert np.abs(got - want).max() < 1 / 255
 
-    def test_invertible_within_2_levels(self, rng):
-        img = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
-        back = yuv_to_rgb(rgb_to_yuv(img))
-        assert np.abs(back.astype(int) - img.astype(int)).max() <= 2
-
 
 class TestFilterMinSize:
     def test_tiny_box_dropped(self):
@@ -274,15 +268,6 @@ class TestToyGenerator:
         samples = load_all_samples(index)
         assert len(samples) == 3
         assert samples[0][0].shape == (192, 256, 3)
-
-    def test_threaded_loading_matches(self, tmp_path):
-        generate_toy_dataset(4, "A", seed=1, out_dir=tmp_path / "d")
-        index = load_index(tmp_path / "d")
-        seq = load_all_samples(index, workers=1)
-        par = load_all_samples(index, workers=4)
-        for (ia, aa), (ib, ab) in zip(seq, par):
-            np.testing.assert_array_equal(ia, ib)
-            assert aa == ab
 
     def test_bad_args(self, tmp_path):
         with pytest.raises(ValueError, match="n_images"):

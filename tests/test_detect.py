@@ -75,6 +75,49 @@ class TestAnchors:
         save_anchors(tmp_path / "a.txt", anchors)
         np.testing.assert_allclose(load_anchors(tmp_path / "a.txt"), anchors, atol=1e-6)
 
+    @pytest.mark.parametrize("line, reason", [
+        ("ball abc 0.1", "non-numeric"),
+        ("ball 0.1", "expected"),
+        ("ball nan 0.1", "finite and positive"),
+        ("crossing -1 0.1", "finite and positive"),
+        ("goalpost inf 0", "finite and positive"),
+        ("robot 0 0.1", "finite and positive"),
+        ("ball 1e40 0.1", "finite and positive"),  # overflows float32
+        ("ball 1e-50 0.1", "finite and positive"),  # underflows float32 to 0
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, reason):
+        path = tmp_path / "a.txt"
+        path.write_text("# anchors\nball 0.1 0.1\n" + line + "\n")
+        with pytest.raises(ValueError) as info:
+            load_anchors(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+        assert reason in str(info.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fuzz_raises_only_value_error_naming_file(self, fuzz_dir, data):
+        valid = "# w h\nball 0.05 0.07\ncrossing 0.08 0.08\ngoalpost 0.04 0.3\nrobot 0.15 0.25\n"
+        token = st.one_of(
+            st.floats().map(repr),
+            st.text(alphabet="0123456789.-+eEinfa_", max_size=8),
+        )
+        line = st.tuples(st.sampled_from(CLASS_NAMES + ("x",)), token, token).map(" ".join)
+        text = data.draw(st.one_of(
+            st.text(alphabet=st.characters(codec="ascii"), max_size=80),
+            st.integers(0, len(valid)).map(lambda n: valid[:n]),
+            st.lists(line, min_size=1, max_size=6).map("\n".join),
+            line.map(lambda extra: valid + extra),
+        ))
+        path = fuzz_dir / "anchors.txt"
+        path.write_text(text)
+        try:
+            anchors = load_anchors(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}")
+        else:
+            assert anchors.shape == (4, 2) and anchors.dtype == np.float32
+            assert np.isfinite(anchors).all() and (anchors > 0).all()
+
 
 def sigmoid(v):
     return 1.0 / (1.0 + math.exp(-v))

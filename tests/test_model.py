@@ -26,8 +26,6 @@ from robodet.model import (
     init_network,
     load_weights,
     save_weights,
-    spec_from_text,
-    spec_to_text,
 )
 from robodet.tensor import ShapeError
 
@@ -329,18 +327,3 @@ class TestWeightFile:
         loaded = load_weights(path)
         assert not loaded.layers[0].conv.weights.any()
 
-
-class TestTextFormat:
-    def test_round_trip(self):
-        spec = build_robo(2)
-        text = spec_to_text(spec)
-        parsed = spec_from_text(text, name="robo", k=2)
-        assert parsed.layers == spec.layers
-        assert parsed.heads == spec.heads
-
-    def test_comments_and_errors(self):
-        text = "# comment\nconv 3 2 3 4 bn\nconv 3 2 4 8 bn tap=head_hi\n"
-        with pytest.raises(ValueError, match="head_lo"):
-            spec_from_text(text)
-        with pytest.raises(ValueError, match="conv"):
-            spec_from_text("dense 3 2 3 4\n")

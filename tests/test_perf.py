@@ -5,7 +5,6 @@ from robodet.perf import (
     benchmark,
     compare,
     count_macs,
-    count_macs_network,
     count_tiny_yolo_ref,
     format_op_report,
     preset_comparison,
@@ -49,7 +48,7 @@ class TestCountMacs:
 
     def test_all_pass_mask_effective_equals_total(self):
         net = init_network(build_robo(1), seed=0)
-        report = count_macs_network(net)
+        report = count_macs(net.spec, net.mask_dict())
         assert report.total_effective == report.total_macs
 
     def test_half_masked_layer_halves_effective(self):
@@ -58,16 +57,16 @@ class TestCountMacs:
         layer = net.layers[3]
         flat = layer.mask.reshape(-1)
         flat[: flat.size // 2] = False
-        report = count_macs_network(net)
+        report = count_macs(net.spec, net.mask_dict())
         entry = report.layers[3]
         assert entry.nonzero == pytest.approx(0.5)
         assert entry.effective_macs == pytest.approx(entry.macs / 2)
 
     def test_pruning_never_increases_effective(self):
         net = init_network(build_robo(1), seed=0)
-        before = count_macs_network(net).total_effective
+        before = count_macs(net.spec, net.mask_dict()).total_effective
         prune(net, 0.05)
-        after = count_macs_network(net).total_effective
+        after = count_macs(net.spec, net.mask_dict()).total_effective
         assert after <= before
 
     def test_params_match_model_counts(self):
@@ -133,9 +132,13 @@ class TestBenchmark:
     def test_larger_input_slower(self):
         small = init_network(build_robo(1), seed=0)
         big = init_network(build_robo(2), seed=0)
-        t_small = benchmark(small, repeats=5).mean_ms
-        t_big = benchmark(big, repeats=5).mean_ms
-        assert t_big > t_small
+        # Best of three interleaved calls per net: a load spike on a shared
+        # host inflates single means, but seldom all three of one net.
+        t_small, t_big = [], []
+        for _ in range(3):
+            t_small.append(benchmark(small, repeats=5).mean_ms)
+            t_big.append(benchmark(big, repeats=5).mean_ms)
+        assert min(t_big) > min(t_small)
 
     def test_repeats_validated(self):
         net = init_network(build_robo(1), seed=0)

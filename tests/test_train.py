@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from robodet.data import Annotation, generate_toy_dataset, load_all_samples
 from robodet.detect import BBox, encode
+from robodet import train as train_mod
 from robodet.model import build_robo, forward, init_network
 from robodet.train import (
     AdamState,
@@ -23,7 +25,6 @@ from robodet.train import (
     cosine_lr,
     detection_loss,
     finetune_pruned,
-    format_config,
     hflip,
     parse_config,
     prune,
@@ -182,6 +183,25 @@ class TestDetectionLoss:
         b, gb, _ = detection_loss(raw_lo[1:], raw_hi[1:], targets[1], tiny_net, lw)
         assert loss == pytest.approx((a + b) / 2, rel=1e-6)
         np.testing.assert_allclose(glo[0], ga[0] / 2, rtol=1e-6)
+
+    def test_weight_sum_skipped_at_zero_l1(self, rng, tiny_net, monkeypatch):
+        calls = []
+        original = train_mod._l1_term
+
+        def counting(net):
+            calls.append(net)
+            return original(net)
+
+        monkeypatch.setattr(train_mod, "_l1_term", counting)
+        raw_lo = rng.normal(0, 1, (2, 10, 3, 4))
+        raw_hi = rng.normal(0, 1, (2, 10, 6, 8))
+        targets = [[(0, BBox(0.3, 0.4, 0.05, 0.07))], []]
+        detection_loss(raw_lo[:1], raw_hi[:1], targets[0], tiny_net, LossWeights(l1=0.0))
+        batch_detection_loss(raw_lo, raw_hi, targets, tiny_net, LossWeights(l1=0.0))
+        assert calls == []
+        # A non-zero weight sums the weights once per batch, not once per image.
+        batch_detection_loss(raw_lo, raw_hi, targets, tiny_net, LossWeights(l1=1e-3))
+        assert len(calls) == 1
 
 
 # Frozen copy of the textbook HSV round trip and of augment as they stood
@@ -409,15 +429,47 @@ class TestPrune:
 
 class TestConfigFile:
     def test_round_trip(self):
-        cfg = TrainConfig(epochs=25, batch=16, seed=9, transfer_layers=5)
-        lw = LossWeights(l1=1e-3)
-        cfg2, lw2 = parse_config(format_config(cfg, lw))
-        assert cfg2 == cfg
-        assert lw2 == lw
+        text = (
+            "lr_max=0.002\nlr_min=1e-05\nepochs=25\nbatch=16\nfinetune_epochs=3\n"
+            "finetune_lr=2e-05\nprune_threshold=0.05\nseed=9\ntransfer_layers=5\n"
+            "transfer_lr_factor=4.0\n"
+            "lambda_coord=4.0\nlambda_obj=2.0\nlambda_noobj=0.25\nlambda_l1=0.001\n"
+        )
+        keys = {line.split("=")[0] for line in text.splitlines()}
+        assert keys == {f.name for f in fields(TrainConfig)} | set(train_mod._LOSS_KEYS)
+        cfg, lw = parse_config(text)
+        assert cfg == TrainConfig(
+            lr_max=0.002, lr_min=1e-5, epochs=25, batch=16, finetune_epochs=3,
+            finetune_lr=2e-5, prune_threshold=0.05, seed=9, transfer_layers=5,
+            transfer_lr_factor=4.0,
+        )
+        assert lw == LossWeights(coord=4.0, obj=2.0, noobj=0.25, l1=1e-3)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("warmup_epochs=3\n")
+
+    @pytest.mark.parametrize("text, prefix", [
+        ("epochs=abc\n", "line 1: epochs: invalid literal"),
+        ("lr_max=\n", "line 1: lr_max: could not convert"),
+        ("lambda_l1=x\n", "line 1: lambda_l1: could not convert"),
+        ("epochs=5\n\n# note\nbatch=1.5\n", "line 4: batch: invalid literal"),
+    ])
+    def test_bad_value_names_line_and_key(self, text, prefix):
+        with pytest.raises(ValueError) as info:
+            parse_config(text)
+        assert str(info.value).startswith(prefix)
+
+    @pytest.mark.parametrize("field", ["coord", "obj", "noobj", "l1"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_loss_weights_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"loss weight {field} must be finite"):
+            LossWeights(**{field: value})
+        with pytest.raises(ValueError, match=f"loss weight {field} must be finite"):
+            parse_config(f"lambda_{field}={value}\n")
+
+    def test_loss_weights_accept_zero(self):
+        assert LossWeights(coord=0.0, obj=0.0, noobj=0.0, l1=0.0).l1 == 0.0
 
     def test_comments_and_blanks(self):
         cfg, lw = parse_config("# comment\n\nepochs=7\nlambda_l1=0.01\n")
