@@ -200,11 +200,15 @@ def cmd_train(args) -> int:
 
 def cmd_transfer(args) -> int:
     cfg, lw = _train_config(args)
-    net = _load_net(args.weights)
-    index = data_mod.load_index(args.data)
-    val_index = data_mod.load_index(args.val, "val") if args.val else None
     if cfg.transfer_layers is None:
         raise CliError("--transfer-layers is required (0 = all layers at reduced rate)")
+    net = _load_net(args.weights)
+    try:
+        train_mod.check_transfer_layers(net, cfg.transfer_layers)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    index = data_mod.load_index(args.data)
+    val_index = data_mod.load_index(args.val, "val") if args.val else None
     train_mod.transfer_finetune(net, index, cfg, lw, val_index=val_index,
                                 log_path=args.log)
     model_mod.save_weights(net, args.out)
@@ -215,13 +219,14 @@ def cmd_transfer(args) -> int:
 def cmd_prune(args) -> int:
     if not 0.0 < args.theta < 1.0:
         raise CliError(f"--theta must lie in (0, 1), got {args.theta}")
-    net = _load_net(args.weights)
-    _, report = train_mod.prune(net, args.theta)
-    print(report)
     if args.finetune:
         if not args.data:
             raise CliError("--finetune requires --data")
         cfg, lw = _train_config_prune(args)
+    net = _load_net(args.weights)
+    _, report = train_mod.prune(net, args.theta)
+    print(report)
+    if args.finetune:
         index = data_mod.load_index(args.data)
         val_index = data_mod.load_index(args.val, "val") if args.val else None
         train_mod.finetune_pruned(net, index, cfg, lw, val_index=val_index)
@@ -262,7 +267,7 @@ def cmd_detect(args) -> int:
     for image_path in args.images:
         image = data_mod.read_ppm(image_path)
         x = data_mod.rgb_to_yuv(image)[None]
-        raw_lo, raw_hi = model_mod.forward(net, x, mode="infer")
+        raw_lo, raw_hi = model_mod.forward(net, x)
         lo, hi = detect_mod.decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
         dets = detect_mod.postprocess(lo, hi, conf_threshold=args.conf, nms_iou=args.nms)
         dump = detect_mod.format_detections(dets)
@@ -300,14 +305,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ops(args) -> int:
-    if args.model == "tiny_yolo_ref":
+    if args.weights:
+        net = _load_net(args.weights)
+        spec = net.spec
+        if args.model not in (None, spec.name) or args.k not in (None, spec.k):
+            raise CliError(f"{args.weights} holds {spec.name} at k={spec.k}; "
+                           "--model and --k must match it or be left out")
+        report = perf_mod.count_macs(spec, net.mask_dict())
+    elif args.model == "tiny_yolo_ref":
         report = perf_mod.count_tiny_yolo_ref()
     else:
-        spec = model_mod.build_spec(args.model, args.k)
-        masks = None
-        if args.weights:
-            masks = _load_net(args.weights).mask_dict()
-        report = perf_mod.count_macs(spec, masks)
+        spec = model_mod.build_spec(args.model or "robo", 2 if args.k is None else args.k)
+        report = perf_mod.count_macs(spec)
     print(perf_mod.format_op_report(report))
     if args.csv:
         Path(args.csv).write_text(perf_mod.format_op_report(report, csv=True))
@@ -390,10 +399,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ops", help="analytic MAC counts")
-    p.add_argument("--model", default="robo",
-                   choices=sorted(model_mod._BUILDERS) + ["tiny_yolo_ref"])
-    p.add_argument("--k", type=_positive_int, default=2)
-    p.add_argument("--weights", help="account for this net's prune masks")
+    p.add_argument("--model", choices=sorted(model_mod._BUILDERS) + ["tiny_yolo_ref"],
+                   help="model to count (default: the --weights file's, else robo)")
+    p.add_argument("--k", type=_positive_int,
+                   help="resolution multiplier (default: the --weights file's, else 2)")
+    p.add_argument("--weights", help="count this net, with its prune masks")
     p.add_argument("--csv", help="also write the table as CSV")
     p.add_argument("--compare", action="store_true",
                    help="print the preset model comparison")

@@ -175,7 +175,7 @@ def evaluate(net, index, criteria=None, conf_threshold: float = 0.01):
     for i in range(len(index)):
         image, annotations = data_mod.load_sample(index, i)
         x = data_mod.rgb_to_yuv(image)[None]
-        raw_lo, raw_hi = model_mod.forward(net, x, mode="infer")
+        raw_lo, raw_hi = model_mod.forward(net, x)
         lo, hi = detect_mod.decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
         per_image_dets.append(detect_mod.postprocess(lo, hi, conf_threshold=conf_threshold))
         per_image_gts.append([(a.class_id, a.box) for a in annotations])

@@ -342,8 +342,9 @@ def init_network(spec: ModelSpec, seed: int = 0) -> Network:
     return Network(spec, layers, heads, anchors)
 
 
-def _layer_forward(layer: Layer, x, mode, cache=None):
+def _layer_forward(layer: Layer, x, cache=None):
     z = conv2d_forward(x, layer.conv)
+    mode = "infer" if cache is None else "train"
     zn = batch_norm(z, layer.bn, mode) if layer.bn is not None else z
     a = leaky_relu(zn) if layer.spec.activation == "leaky" else zn
     if cache is not None:
@@ -351,18 +352,18 @@ def _layer_forward(layer: Layer, x, mode, cache=None):
     return a
 
 
-def forward(net: Network, x: np.ndarray, mode: str = "infer"):
-    """Run the network; returns (raw_lo, raw_hi) head output tensors."""
-    out, _ = _forward_impl(net, x, mode, keep_cache=False)
+def forward(net: Network, x: np.ndarray):
+    """Inference-mode forward; returns (raw_lo, raw_hi) head output tensors."""
+    out, _ = _forward_impl(net, x, keep_cache=False)
     return out
 
 
 def forward_with_cache(net: Network, x: np.ndarray):
     """Train-mode forward keeping per-layer activations for backward()."""
-    return _forward_impl(net, x, "train", keep_cache=True)
+    return _forward_impl(net, x, keep_cache=True)
 
 
-def _forward_impl(net, x, mode, keep_cache):
+def _forward_impl(net, x, keep_cache):
     expected = (x.shape[0], 3) + net.spec.input_hw
     if x.ndim != 4 or x.shape[1:] != expected[1:]:
         raise ShapeError(
@@ -373,7 +374,7 @@ def _forward_impl(net, x, mode, keep_cache):
     taps = {}
     h = x
     for layer in net.layers:
-        h = _layer_forward(layer, h, mode, cache)
+        h = _layer_forward(layer, h, cache)
         if layer.spec.tap:
             taps[layer.spec.tap] = h
     raws = {}
@@ -410,7 +411,7 @@ def backward(net: Network, cache, grad_lo: np.ndarray, grad_hi: np.ndarray):
         if layer.spec.activation == "leaky":
             g = leaky_relu_backward(entry["zn"], g)
         if layer.bn is not None:
-            g, dgamma, dbeta = batch_norm_backward(entry["z"], layer.bn, g, "train")
+            g, dgamma, dbeta = batch_norm_backward(entry["z"], layer.bn, g)
             grads[f"l{i}.gamma"] = dgamma
             grads[f"l{i}.beta"] = dbeta
             g, dw, _ = conv2d_backward(entry["x"], layer.conv, g)

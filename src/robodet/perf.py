@@ -207,9 +207,9 @@ def benchmark(net: Network, x=None, repeats: int = 10):
         pinned = False
     times = []
     with limit:
-        forward(net, x, mode="infer")  # warmup
+        forward(net, x)  # warmup
         for _ in range(repeats):
             start = time.perf_counter()
-            forward(net, x, mode="infer")
+            forward(net, x)
             times.append((time.perf_counter() - start) * 1000.0)
     return BenchResult(float(np.mean(times)), float(np.std(times)), pinned)

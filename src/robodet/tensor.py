@@ -215,30 +215,24 @@ def batch_norm(x: np.ndarray, params: BatchNormParams, mode: str = "infer") -> n
 
 
 def batch_norm_backward(
-    x: np.ndarray, params: BatchNormParams, grad_out: np.ndarray, mode: str = "train"
+    x: np.ndarray, params: BatchNormParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input, gamma, beta.  Train mode differentiates through
-    the batch statistics; infer mode treats the running stats as constants."""
+    """Gradients of train-mode batch norm w.r.t. input, gamma, beta,
+    differentiating through the batch statistics."""
     _check_bn_input(x, params)
-    if mode == "train":
-        mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-    else:
-        mu, var = params.mean, params.var
+    mu = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
     ivar = 1.0 / np.sqrt(var + params.eps)
     xhat = (x - mu[:, None, None]) * ivar[:, None, None]
     grad_beta = grad_out.sum(axis=(0, 2, 3))
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
     gscale = (params.gamma * ivar)[:, None, None]
-    if mode == "train":
-        count = x.shape[0] * x.shape[2] * x.shape[3]
-        grad_x = (gscale / count) * (
-            count * grad_out
-            - grad_beta[:, None, None]
-            - xhat * grad_gamma[:, None, None]
-        )
-    else:
-        grad_x = grad_out * gscale
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    grad_x = (gscale / count) * (
+        count * grad_out
+        - grad_beta[:, None, None]
+        - xhat * grad_gamma[:, None, None]
+    )
     return grad_x, grad_gamma, grad_beta
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -160,94 +160,83 @@ def adam_step(params, grads, state: AdamState, lr: float, masks=None, lr_scale=N
 # Detection loss.
 
 
-def _assign_targets(targets, spec, anchors):
-    """Group encodable targets by (head, slot, cell); same-slot collisions
-    keep the larger box."""
+def _assign_targets(targets_per_image, spec, anchors):
+    """Responsible cells of a batch, keyed by (image, slot, i, j) per head.
+
+    Two boxes of one class in one cell of one image collide, and the larger
+    is kept.  Returns {head name: (b, slot, i, j, t)}: four index arrays and
+    the (4, m) float64 table of (tx, ty, tw, th) regression targets.
+    """
     owner = {}
     for head in spec.heads:
         for slot, class_id in enumerate(head.classes_owned):
-            owner[class_id] = (head.name, slot)
-    assigned: dict[tuple, tuple] = {}
-    for class_id, box in targets:
-        head_name, slot = owner[class_id]
-        head = spec.head(head_name)
-        (i, j), t = encode((class_id, box), anchors, spec.head_grid(head))
-        key = (head_name, slot, i, j)
-        if key in assigned:
-            old_box, _ = assigned[key]
-            logger.warning(
-                "target collision: two '%s' boxes in cell (%d, %d) of %s; "
-                "keeping the larger one",
-                spec.classes[class_id], i, j, head_name,
-            )
-            if box.w * box.h <= old_box.w * old_box.h:
-                continue
-        assigned[key] = (box, t)
-    return assigned
+            owner[class_id] = (head, slot)
+    assigned = {head.name: {} for head in spec.heads}
+    for b, targets in enumerate(targets_per_image):
+        for class_id, box in targets:
+            head, slot = owner[class_id]
+            (i, j), t = encode((class_id, box), anchors, spec.head_grid(head))
+            cells = assigned[head.name]
+            key = (b, slot, i, j)
+            if key in cells:
+                old_box, _ = cells[key]
+                logger.warning(
+                    "target collision: two '%s' boxes in cell (%d, %d) of %s "
+                    "in image %d; keeping the larger one",
+                    spec.classes[class_id], i, j, head.name, b,
+                )
+                if box.w * box.h <= old_box.w * old_box.h:
+                    continue
+            cells[key] = (box, t)
+    out = {}
+    for name, cells in assigned.items():
+        index = np.array(list(cells), dtype=np.intp).reshape(-1, 4).T
+        table = np.array([t for _, t in cells.values()], dtype=np.float64).reshape(-1, 4).T
+        out[name] = (*index, table)
+    return out
 
 
 def _l1_term(net: Network) -> float:
     return float(sum(np.abs(layer.conv.weights).sum() for _, layer in net.all_layers()))
 
 
-def detection_loss(raw_lo, raw_hi, targets, net: Network, lw: LossWeights):
-    """Single-image loss and its gradients on the two raw head tensors.
+def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net: Network, lw: LossWeights):
+    """Mean per-image detection loss over a batch and its gradients on the
+    two raw head tensors; the L1 term enters once.
 
-    Responsibility is one (cell, class-slot) per target; there is no
-    classification term.  Returns (loss, grad_lo, grad_hi).
+    Every slot of every cell is a non-object, except the one (cell, class
+    slot) responsible for each target, which carries the coordinate and
+    object terms; there is no classification term.  The responsible cells
+    are computed in float64.  Returns (loss, grad_lo, grad_hi).
     """
-    spec = net.spec
-    assigned = _assign_targets(targets, spec, net.anchors)
-    raws = {HEAD_LO: raw_lo, HEAD_HI: raw_hi}
-    grads = {}
-    loss = lw.l1 * _l1_term(net) if lw.l1 else 0.0
-    for head in spec.heads:
-        raw = raws[head.name]
-        grad = np.zeros_like(raw)
-        to = raw[0, 4::5]  # (slots, gh, gw)
-        sig_to = expit(to)
-        # Every slot starts as a non-object; responsible cells corrected below.
-        loss += lw.noobj * float(np.logaddexp(0.0, to).sum())
-        grad[0, 4::5] = lw.noobj * sig_to
-        for (hname, slot, i, j), (_box, t) in assigned.items():
-            if hname != head.name:
-                continue
-            base = 5 * slot
-            tx, ty, tw, th, t_o = (float(v) for v in raw[0, base : base + 5, i, j])
-            sx, sy = expit(tx), expit(ty)
-            txh, tyh, twh, thh = t
-            loss += lw.coord * (
-                (sx - txh) ** 2 + (sy - tyh) ** 2 + (tw - twh) ** 2 + (th - thh) ** 2
-            )
-            grad[0, base + 0, i, j] = lw.coord * 2 * (sx - txh) * sx * (1 - sx)
-            grad[0, base + 1, i, j] = lw.coord * 2 * (sy - tyh) * sy * (1 - sy)
-            grad[0, base + 2, i, j] = lw.coord * 2 * (tw - twh)
-            grad[0, base + 3, i, j] = lw.coord * 2 * (th - thh)
-            # Swap this cell's objectness from the no-object to the object term.
-            loss -= lw.noobj * float(np.logaddexp(0.0, t_o))
-            loss += lw.obj * float(np.logaddexp(0.0, -t_o))
-            s_o = float(expit(t_o))
-            grad[0, base + 4, i, j] = lw.obj * (s_o - 1.0)
-        grads[head.name] = grad
-    return loss, grads[HEAD_LO], grads[HEAD_HI]
-
-
-def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net, lw):
-    """Mean per-image detection loss over a batch; the L1 term enters once."""
     n = raw_lo.shape[0]
-    grad_lo = np.zeros_like(raw_lo)
-    grad_hi = np.zeros_like(raw_hi)
-    total = 0.0
+    cells = _assign_targets(targets_per_image, net.spec, net.anchors)
     l1 = lw.l1 * _l1_term(net) if lw.l1 else 0.0
-    for b in range(n):
-        loss, glo, ghi = detection_loss(
-            raw_lo[b : b + 1], raw_hi[b : b + 1], targets_per_image[b],
-            net, replace(lw, l1=0.0),
-        )
-        total += loss
-        grad_lo[b] = glo[0]
-        grad_hi[b] = ghi[0]
-    return total / n + l1, grad_lo / n, grad_hi / n
+    total = 0.0
+    grads = {}
+    for name, raw in ((HEAD_LO, raw_lo), (HEAD_HI, raw_hi)):
+        b, slot, i, j, (txh, tyh, twh, thh) = cells[name]
+        to = raw[:, 4::5]  # (n, slots, gh, gw)
+        grad = np.zeros_like(raw)
+        grad[:, 4::5] = lw.noobj * expit(to)
+        # One sum per image in the head's dtype, as for a batch of one.
+        total += lw.noobj * np.logaddexp(0.0, to).sum(axis=(1, 2, 3)).sum(dtype=np.float64)
+        base = 5 * slot
+        tx, ty, tw, th, t_o = (raw[b, base + c, i, j].astype(np.float64) for c in range(5))
+        sx, sy = expit(tx), expit(ty)
+        total += lw.coord * (
+            (sx - txh) ** 2 + (sy - tyh) ** 2 + (tw - twh) ** 2 + (th - thh) ** 2
+        ).sum()
+        # Swap each responsible cell's objectness from the no-object to the
+        # object term.
+        total += (lw.obj * np.logaddexp(0.0, -t_o) - lw.noobj * np.logaddexp(0.0, t_o)).sum()
+        grad[b, base + 0, i, j] = lw.coord * 2 * (sx - txh) * sx * (1 - sx)
+        grad[b, base + 1, i, j] = lw.coord * 2 * (sy - tyh) * sy * (1 - sy)
+        grad[b, base + 2, i, j] = lw.coord * 2 * (tw - twh)
+        grad[b, base + 3, i, j] = lw.coord * 2 * (th - thh)
+        grad[b, base + 4, i, j] = lw.obj * (expit(t_o) - 1.0)
+        grads[name] = grad / n
+    return float(total) / n + l1, grads[HEAD_LO], grads[HEAD_HI]
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +365,6 @@ def _epoch_batches(n, batch, rng):
     return [order[i : i + batch] for i in range(0, n, batch)]
 
 
-def _weight_param_names(net):
-    return [f"{name}.w" for name, _ in net.all_layers()]
-
-
 def _layer_lr_scale(net: Network, k_t: int, factor: float):
     """Full rate for backbone layers 1..k_t, reduced for the rest and heads."""
     scale = {}
@@ -432,7 +417,6 @@ def train_loop(
     active_masks = {k: m for k, m in masks.items() if not m.all()}
     state = AdamState(params)
     total_steps = epochs * n_batches
-    weight_names = _weight_param_names(net)
     metrics = []
     log_file = open(log_path, "a") if log_path else None
     try:
@@ -458,7 +442,7 @@ def train_loop(
                     )
                 grads = backward(net, cache, grad_lo, grad_hi)
                 if lw.l1 > 0:
-                    for name in weight_names:
+                    for name in masks:
                         grads[name] = grads[name] + lw.l1 * np.sign(params[name])
                 if schedule == "cosine":
                     lr = cosine_lr(step, total_steps, cfg)
@@ -546,15 +530,18 @@ def finetune_pruned(net: Network, index, cfg: TrainConfig, lw: LossWeights, val_
     return net
 
 
+def check_transfer_layers(net: Network, k_t) -> None:
+    """Raise ValueError unless k_t counts 0 up to all of net's backbone layers."""
+    if k_t is None or not 0 <= k_t <= len(net.layers):
+        raise ValueError(f"transfer_layers must lie in 0..{len(net.layers)}, got {k_t}")
+
+
 def transfer_finetune(net: Network, index, cfg: TrainConfig, lw: LossWeights,
                       val_index=None, log_path=None):
     """Retrain the first transfer_layers backbone layers at the scheduled
     rate; all later layers and both heads run at lr / transfer_lr_factor."""
     k_t = cfg.transfer_layers
-    if k_t is None or not 0 <= k_t <= len(net.layers):
-        raise ValueError(
-            f"transfer_layers must lie in 0..{len(net.layers)}, got {k_t}"
-        )
+    check_transfer_layers(net, k_t)
     lr_scale = _layer_lr_scale(net, k_t, cfg.transfer_lr_factor)
     train_loop(net, index, cfg, lw, val_index=val_index, lr_scale=lr_scale,
                log_path=log_path)

@@ -7,7 +7,16 @@ from robodet.cli import box_pixel_rect, main, render_overlay
 from robodet.data import generate_toy_dataset, load_index, read_ppm, write_ppm
 from robodet.detect import BBox, Detection, load_anchors
 from robodet.evaluate import evaluate
-from robodet.model import CLASS_NAMES, build_robo, init_network, load_weights, save_weights
+from robodet.model import (
+    CLASS_NAMES,
+    build_robo,
+    build_robo_bn,
+    init_network,
+    load_weights,
+    save_weights,
+)
+from robodet.perf import count_macs
+from robodet.train import prune
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +83,29 @@ class TestExitCodes:
                      "--config", str(config)])
         assert code == 1
         assert "batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layers", ["99", "-1"])
+    def test_transfer_layers_out_of_range_is_validation_error(self, weights_file, tmp_path,
+                                                              capsys, layers):
+        # The data directory does not exist: exit 1, not 2, shows the range
+        # is checked before the data loads.
+        out = tmp_path / "t.rbw"
+        code = main(["transfer", "--weights", str(weights_file), "--data",
+                     str(tmp_path / "never"), "--out", str(out), "--transfer-layers", layers])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: transfer_layers must lie in 0..15, got {layers}")
+        assert not out.exists()
+
+    def test_prune_finetune_without_data_is_flag_error(self, weights_file, tmp_path, capsys):
+        out = tmp_path / "p.rbw"
+        code = main(["prune", "--weights", str(weights_file), "--out", str(out),
+                     "--finetune"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: --finetune requires --data")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("theta", ["0", "1.5"])
     def test_prune_theta_outside_unit_interval_is_flag_error(self, weights_file, tmp_path,
@@ -282,6 +314,30 @@ class TestTrainCli:
         assert main(["bench", "--model", "robo", "--k", "1", "--repeats", "3"]) == 0
         out = capsys.readouterr().out
         assert want in out and unwanted not in out
+
+    def test_ops_counts_the_weight_file(self, tmp_path, capsys):
+        net = init_network(build_robo_bn(1), seed=0)
+        prune(net, 0.3)
+        path = tmp_path / "bn.rbw"
+        save_weights(net, path)
+        table = tmp_path / "ops.csv"
+        assert main(["ops", "--weights", str(path), "--csv", str(table)]) == 0
+        assert capsys.readouterr().out.startswith("model: robo_bn\n")
+        want = count_macs(net.spec, net.mask_dict())
+        total = table.read_text().splitlines()[-1].split(",")
+        assert total[:4] == ["total", str(want.total_macs), str(round(want.total_effective)),
+                             str(want.total_params)]
+
+    @pytest.mark.parametrize("flags", [["--k", "2"], ["--model", "robo"],
+                                       ["--model", "robo_bn", "--k", "2"]])
+    def test_ops_flags_that_contradict_the_weight_file_fail(self, tmp_path, capsys, flags):
+        path = tmp_path / "bn.rbw"
+        save_weights(init_network(build_robo_bn(1), seed=0), path)
+        code = main(["ops", "--weights", str(path)] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {path} holds robo_bn at k=1; ")
+        assert captured.out == ""
 
     def test_ops_compare_preset(self, capsys):
         assert main(["ops", "--model", "tiny_yolo_ref", "--compare"]) == 0

@@ -496,7 +496,7 @@ class TestArrayPathMatchesObjectPath:
         net = init_network(spec, seed=3)
         net.anchors = make_anchors()
         x = rng.normal(0, 1, (1, 3, *spec.input_hw)).astype(np.float32)
-        raw_lo, raw_hi = forward(net, x, mode="infer")
+        raw_lo, raw_hi = forward(net, x)
         lo, hi = decode_network_output(raw_lo, raw_hi, spec, net.anchors)
         want_lo = decode_reference(raw_lo, spec.head("head_lo"), net.anchors,
                                    spec.head_grid(spec.head("head_lo")))

@@ -175,8 +175,8 @@ class TestForward:
     def test_infer_deterministic(self, rng):
         net = init_network(build_robo(1), seed=0)
         x = rng.random((1, 3, 192, 256), dtype=np.float32)
-        a = forward(net, x, mode="infer")
-        b = forward(net, x, mode="infer")
+        a = forward(net, x)
+        b = forward(net, x)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 

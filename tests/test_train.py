@@ -1,17 +1,18 @@
 import logging
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from robodet.data import Annotation, generate_toy_dataset, load_all_samples
 from robodet.detect import BBox, encode
 from robodet import train as train_mod
-from robodet.model import build_robo, forward, init_network
+from robodet.model import HEAD_HI, HEAD_LO, build_robo, init_network, save_weights
 from robodet.train import (
     AdamState,
     LossWeights,
@@ -23,7 +24,6 @@ from robodet.train import (
     augment,
     batch_detection_loss,
     cosine_lr,
-    detection_loss,
     finetune_pruned,
     hflip,
     parse_config,
@@ -36,13 +36,23 @@ from robodet.train import (
 from conftest import finite_difference, grad_error
 
 
-@pytest.fixture
-def tiny_net():
+def _tiny_net():
     net = init_network(build_robo(1), seed=0)
     net.anchors = np.array(
         [[0.06, 0.08], [0.07, 0.07], [0.03, 0.25], [0.12, 0.2]], dtype=np.float32
     )
     return net
+
+
+@pytest.fixture
+def tiny_net():
+    return _tiny_net()
+
+
+@pytest.fixture(scope="module")
+def loss_net():
+    """A tiny_net shared by the examples of a hypothesis property; read only."""
+    return _tiny_net()
 
 
 class TestCosineSchedule:
@@ -104,18 +114,153 @@ class TestAdam:
         assert abs(p["b"][0]) == pytest.approx(abs(p["a"][0]) / 10, rel=1e-6)
 
 
+# Frozen copy of the per-image loss and its batch wrapper as they stood
+# before the loss was batched: batch_detection_loss must give bitwise-equal
+# head gradients, the same collision warnings and the same loss up to float64
+# summation order.  It logs to robodet.train, as it did.
+
+_reference_logger = logging.getLogger("robodet.train")
+
+
+def _reference_assign_targets(targets, spec, anchors):
+    owner = {}
+    for head in spec.heads:
+        for slot, class_id in enumerate(head.classes_owned):
+            owner[class_id] = (head.name, slot)
+    assigned = {}
+    for class_id, box in targets:
+        head_name, slot = owner[class_id]
+        head = spec.head(head_name)
+        (i, j), t = encode((class_id, box), anchors, spec.head_grid(head))
+        key = (head_name, slot, i, j)
+        if key in assigned:
+            old_box, _ = assigned[key]
+            _reference_logger.warning(
+                "target collision: two '%s' boxes in cell (%d, %d) of %s; "
+                "keeping the larger one",
+                spec.classes[class_id], i, j, head_name,
+            )
+            if box.w * box.h <= old_box.w * old_box.h:
+                continue
+        assigned[key] = (box, t)
+    return assigned
+
+
+def _reference_l1_term(net):
+    return float(sum(np.abs(layer.conv.weights).sum() for _, layer in net.all_layers()))
+
+
+def reference_detection_loss(raw_lo, raw_hi, targets, net, lw):
+    spec = net.spec
+    assigned = _reference_assign_targets(targets, spec, net.anchors)
+    raws = {HEAD_LO: raw_lo, HEAD_HI: raw_hi}
+    grads = {}
+    loss = lw.l1 * _reference_l1_term(net) if lw.l1 else 0.0
+    for head in spec.heads:
+        raw = raws[head.name]
+        grad = np.zeros_like(raw)
+        to = raw[0, 4::5]
+        sig_to = expit(to)
+        loss += lw.noobj * float(np.logaddexp(0.0, to).sum())
+        grad[0, 4::5] = lw.noobj * sig_to
+        for (hname, slot, i, j), (_box, t) in assigned.items():
+            if hname != head.name:
+                continue
+            base = 5 * slot
+            tx, ty, tw, th, t_o = (float(v) for v in raw[0, base : base + 5, i, j])
+            sx, sy = expit(tx), expit(ty)
+            txh, tyh, twh, thh = t
+            loss += lw.coord * (
+                (sx - txh) ** 2 + (sy - tyh) ** 2 + (tw - twh) ** 2 + (th - thh) ** 2
+            )
+            grad[0, base + 0, i, j] = lw.coord * 2 * (sx - txh) * sx * (1 - sx)
+            grad[0, base + 1, i, j] = lw.coord * 2 * (sy - tyh) * sy * (1 - sy)
+            grad[0, base + 2, i, j] = lw.coord * 2 * (tw - twh)
+            grad[0, base + 3, i, j] = lw.coord * 2 * (th - thh)
+            loss -= lw.noobj * float(np.logaddexp(0.0, t_o))
+            loss += lw.obj * float(np.logaddexp(0.0, -t_o))
+            s_o = float(expit(t_o))
+            grad[0, base + 4, i, j] = lw.obj * (s_o - 1.0)
+        grads[head.name] = grad
+    return loss, grads[HEAD_LO], grads[HEAD_HI]
+
+
+def reference_batch_detection_loss(raw_lo, raw_hi, targets_per_image, net, lw):
+    n = raw_lo.shape[0]
+    grad_lo = np.zeros_like(raw_lo)
+    grad_hi = np.zeros_like(raw_hi)
+    total = 0.0
+    l1 = lw.l1 * _reference_l1_term(net) if lw.l1 else 0.0
+    for b in range(n):
+        loss, glo, ghi = reference_detection_loss(
+            raw_lo[b : b + 1], raw_hi[b : b + 1], targets_per_image[b],
+            net, replace(lw, l1=0.0),
+        )
+        total += loss
+        grad_lo[b] = glo[0]
+        grad_hi[b] = ghi[0]
+    return total / n + l1, grad_lo / n, grad_hi / n
+
+
+class _CollisionRecords(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += record.getMessage().startswith("target collision")
+
+
+def _loss_and_collisions(loss_fn, *args):
+    handler = _CollisionRecords()
+    logger = logging.getLogger("robodet.train")
+    logger.addHandler(handler)
+    try:
+        out = loss_fn(*args)
+    finally:
+        logger.removeHandler(handler)
+    return out, handler.count
+
+
+_sizes = st.floats(0.01, 0.6)
+_targets = st.tuples(
+    st.integers(0, 3), st.builds(BBox, st.floats(0.0, 1.0), st.floats(0.0, 1.0), _sizes, _sizes)
+)
+
+
+@st.composite
+def _loss_batches(draw):
+    """Float32 heads of a robo k=1 batch and targets per image, some images
+    empty; boxes are repeated with another (or the same) size into the same
+    image, a collision, or into another image, which is none."""
+    n = draw(st.integers(1, 4))
+    heads = [
+        draw(arrays(np.float32, (n, 10) + grid, elements=st.floats(-30, 30, width=32)))
+        for grid in ((3, 4), (6, 8))
+    ]
+    images = [draw(st.lists(_targets, max_size=6)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        src = draw(st.integers(0, n - 1))
+        if not images[src]:
+            continue
+        class_id, box = draw(st.sampled_from(images[src]))
+        w = draw(st.one_of(st.just(box.w), _sizes))
+        h = draw(st.one_of(st.just(box.h), _sizes))
+        images[draw(st.integers(0, n - 1))].append((class_id, BBox(box.cx, box.cy, w, h)))
+    return heads, images
+
+
 class TestDetectionLoss:
     def test_no_targets_confident_negatives(self, tiny_net):
-        spec = tiny_net.spec
         raw_lo = np.zeros((1, 10, 3, 4))
         raw_hi = np.zeros((1, 10, 6, 8))
         raw_lo[0, 4::5] = -20.0
         raw_hi[0, 4::5] = -20.0
         lw = LossWeights(l1=0.0)
-        loss, glo, ghi = detection_loss(raw_lo, raw_hi, [], tiny_net, lw)
+        loss, glo, ghi = batch_detection_loss(raw_lo, raw_hi, [[]], tiny_net, lw)
         assert loss < 1e-4
         lw = LossWeights(l1=1e-3)
-        loss_l1, _, _ = detection_loss(raw_lo, raw_hi, [], tiny_net, lw)
+        loss_l1, _, _ = batch_detection_loss(raw_lo, raw_hi, [[]], tiny_net, lw)
         assert loss_l1 > loss  # only the L1 term remains
 
     def test_perfect_prediction_near_zero(self, tiny_net):
@@ -135,26 +280,26 @@ class TestDetectionLoss:
         raw_lo[0, base + 2, i, j] = tw
         raw_lo[0, base + 3, i, j] = th
         raw_lo[0, base + 4, i, j] = 20.0  # sigma -> 1
-        loss, _, _ = detection_loss(raw_lo, raw_hi, [target], tiny_net,
-                                    LossWeights(l1=0.0))
+        loss, _, _ = batch_detection_loss(raw_lo, raw_hi, [[target]], tiny_net,
+                                          LossWeights(l1=0.0))
         assert loss < 1e-4
 
     def test_gradient_matches_finite_differences(self, rng, tiny_net):
-        targets = [
+        targets = [[
             (0, BBox(0.3, 0.4, 0.05, 0.07)),
             (3, BBox(0.7, 0.6, 0.15, 0.22)),
             (1, BBox(0.15, 0.85, 0.06, 0.06)),
-        ]
+        ]]
         lw = LossWeights(l1=1e-4)
         raw_lo = rng.normal(0, 1, (1, 10, 3, 4))
         raw_hi = rng.normal(0, 1, (1, 10, 6, 8))
-        _, glo, ghi = detection_loss(raw_lo, raw_hi, targets, tiny_net, lw)
+        _, glo, ghi = batch_detection_loss(raw_lo, raw_hi, targets, tiny_net, lw)
 
         fd_lo = finite_difference(
-            lambda v: detection_loss(v, raw_hi, targets, tiny_net, lw)[0], raw_lo
+            lambda v: batch_detection_loss(v, raw_hi, targets, tiny_net, lw)[0], raw_lo
         )
         fd_hi = finite_difference(
-            lambda v: detection_loss(raw_lo, v, targets, tiny_net, lw)[0], raw_hi
+            lambda v: batch_detection_loss(raw_lo, v, targets, tiny_net, lw)[0], raw_hi
         )
         assert grad_error(glo, fd_lo) < 1e-4
         assert grad_error(ghi, fd_hi) < 1e-4
@@ -167,11 +312,24 @@ class TestDetectionLoss:
         raw_hi = np.zeros((1, 10, 6, 8))
         lw = LossWeights(l1=0.0)
         with caplog.at_level(logging.WARNING, logger="robodet.train"):
-            loss_both, _, _ = detection_loss(raw_lo, raw_hi, [small, big],
-                                             tiny_net, lw)
+            loss_both, _, _ = batch_detection_loss(raw_lo, raw_hi, [[small, big]],
+                                                   tiny_net, lw)
         assert "collision" in caplog.text
-        loss_big, _, _ = detection_loss(raw_lo, raw_hi, [big], tiny_net, lw)
+        loss_big, _, _ = batch_detection_loss(raw_lo, raw_hi, [[big]], tiny_net, lw)
         assert loss_both == pytest.approx(loss_big)
+
+    def test_same_cell_in_two_images_is_no_collision(self, tiny_net, caplog):
+        small = (3, BBox(0.51, 0.51, 0.05, 0.05))
+        big = (3, BBox(0.6, 0.55, 0.3, 0.3))
+        raw_lo = np.zeros((2, 10, 3, 4))
+        raw_hi = np.zeros((2, 10, 6, 8))
+        lw = LossWeights(l1=0.0)
+        with caplog.at_level(logging.WARNING, logger="robodet.train"):
+            loss, _, _ = batch_detection_loss(raw_lo, raw_hi, [[small], [big]], tiny_net, lw)
+        assert "collision" not in caplog.text
+        one = [batch_detection_loss(raw_lo[:1], raw_hi[:1], [t], tiny_net, lw)[0]
+               for t in ([small], [big])]
+        assert loss == pytest.approx(sum(one) / 2)
 
     def test_batch_loss_averages(self, rng, tiny_net):
         raw_lo = rng.normal(0, 1, (2, 10, 3, 4)).astype(np.float32)
@@ -179,8 +337,8 @@ class TestDetectionLoss:
         targets = [[(0, BBox(0.3, 0.4, 0.05, 0.07))], []]
         lw = LossWeights(l1=0.0)
         loss, glo, ghi = batch_detection_loss(raw_lo, raw_hi, targets, tiny_net, lw)
-        a, ga, _ = detection_loss(raw_lo[:1], raw_hi[:1], targets[0], tiny_net, lw)
-        b, gb, _ = detection_loss(raw_lo[1:], raw_hi[1:], targets[1], tiny_net, lw)
+        a, ga, _ = batch_detection_loss(raw_lo[:1], raw_hi[:1], targets[:1], tiny_net, lw)
+        b, gb, _ = batch_detection_loss(raw_lo[1:], raw_hi[1:], targets[1:], tiny_net, lw)
         assert loss == pytest.approx((a + b) / 2, rel=1e-6)
         np.testing.assert_allclose(glo[0], ga[0] / 2, rtol=1e-6)
 
@@ -196,12 +354,28 @@ class TestDetectionLoss:
         raw_lo = rng.normal(0, 1, (2, 10, 3, 4))
         raw_hi = rng.normal(0, 1, (2, 10, 6, 8))
         targets = [[(0, BBox(0.3, 0.4, 0.05, 0.07))], []]
-        detection_loss(raw_lo[:1], raw_hi[:1], targets[0], tiny_net, LossWeights(l1=0.0))
+        batch_detection_loss(raw_lo[:1], raw_hi[:1], targets[:1], tiny_net,
+                             LossWeights(l1=0.0))
         batch_detection_loss(raw_lo, raw_hi, targets, tiny_net, LossWeights(l1=0.0))
         assert calls == []
         # A non-zero weight sums the weights once per batch, not once per image.
         batch_detection_loss(raw_lo, raw_hi, targets, tiny_net, LossWeights(l1=1e-3))
         assert len(calls) == 1
+
+    @given(batch=_loss_batches(), lw=st.sampled_from([
+        LossWeights(), LossWeights(l1=3e-3), LossWeights(coord=1.3, obj=0.7, noobj=2.0),
+    ]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, loss_net, batch, lw):
+        (raw_lo, raw_hi), targets = batch
+        (loss, glo, ghi), collisions = _loss_and_collisions(
+            batch_detection_loss, raw_lo, raw_hi, targets, loss_net, lw)
+        (want, want_lo, want_hi), want_collisions = _loss_and_collisions(
+            reference_batch_detection_loss, raw_lo, raw_hi, targets, loss_net, lw)
+        assert glo.dtype == want_lo.dtype and glo.tobytes() == want_lo.tobytes()
+        assert ghi.dtype == want_hi.dtype and ghi.tobytes() == want_hi.tobytes()
+        assert loss == pytest.approx(want, rel=1e-6)
+        assert collisions == want_collisions
 
 
 # Frozen copy of the textbook HSV round trip and of augment as they stood
@@ -530,6 +704,18 @@ class TestTrainLoop:
             runs.append([m["loss"] for m in metrics])
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("l1", [0.0, 3e-3])
+    def test_weights_match_reference_loss(self, micro_dataset, tmp_path, monkeypatch, l1):
+        saved = []
+        for loss_fn in (batch_detection_loss, reference_batch_detection_loss):
+            monkeypatch.setattr(train_mod, "batch_detection_loss", loss_fn)
+            net = init_network(build_robo(1), seed=2)
+            train_loop(net, micro_dataset, micro_cfg(), LossWeights(l1=l1))
+            path = tmp_path / f"{loss_fn.__name__}.rbw"
+            save_weights(net, path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
     def test_loss_decreases_on_micro_run(self, micro_dataset):
         net = init_network(build_robo(1), seed=2)
         metrics = train_loop(net, micro_dataset, micro_cfg(epochs=6), LossWeights())
@@ -595,6 +781,18 @@ class TestTrainLoop:
                 total += w.size
             frac[l1] = small / total
         assert frac[3e-3] > frac[0.0]
+
+    def test_l1_shrinks_every_layer(self, micro_dataset, monkeypatch):
+        # With zero head gradients, only the L1 term moves the weights.
+        def l1_only(raw_lo, raw_hi, targets, net, lw):
+            return 0.0, np.zeros_like(raw_lo), np.zeros_like(raw_hi)
+
+        monkeypatch.setattr(train_mod, "batch_detection_loss", l1_only)
+        net = init_network(build_robo(1), seed=2)
+        before = {name: np.abs(layer.conv.weights).sum() for name, layer in net.all_layers()}
+        train_loop(net, micro_dataset, micro_cfg(epochs=1), LossWeights(l1=1e-3))
+        for name, layer in net.all_layers():
+            assert np.abs(layer.conv.weights).sum() < before[name], name
 
     def test_sparsity_helper(self, tiny_net):
         assert sparsity(tiny_net) == 0.0
