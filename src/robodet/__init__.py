@@ -9,7 +9,6 @@ from .model import (
     build_robo,
     build_robo_bn,
     build_robo_hr,
-    count_params,
     forward,
     init_network,
     load_weights,
@@ -27,7 +26,6 @@ __all__ = [
     "build_robo_bn",
     "build_robo_hr",
     "compute_anchors",
-    "count_params",
     "decode",
     "encode",
     "forward",

@@ -1,6 +1,6 @@
 """Single `robodet` executable covering the whole pipeline:
 
-    gen-data  anchors  train  transfer  prune  detect  eval  ops  bench
+    gen-data  anchors  train  transfer  prune  detect  eval  ops
 
 Exit codes: 0 success, 1 flag/validation error, 2 runtime failure.  All
 randomness flows from --seed.
@@ -106,6 +106,14 @@ def _load_net(path: str) -> model_mod.Network:
     return model_mod.load_weights(path)
 
 
+def _build_spec(name: str, k) -> model_mod.ModelSpec:
+    """build_spec with a bad model/k pairing as a validation error (exit 1)."""
+    try:
+        return model_mod.build_spec(name, k)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _config_with_overrides(config_path, overrides, l1=None):
     """TrainConfig and LossWeights from a config file (or the defaults) with
     the given flag values on top; flags left as None keep the file's value.
@@ -185,9 +193,9 @@ def cmd_anchors(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, lw = _train_config(args)
+    spec = _build_spec(args.model, args.k)
     index = data_mod.load_index(args.data)
-    val_index = data_mod.load_index(args.val, "val") if args.val else None
-    spec = model_mod.build_spec(args.model, args.k)
+    val_index = data_mod.load_index(args.val) if args.val else None
     net = model_mod.init_network(spec, cfg.seed)
     net.anchors = _resolve_anchors(args, index)
     metrics = train_mod.train_loop(net, index, cfg, lw, val_index=val_index,
@@ -208,7 +216,7 @@ def cmd_transfer(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     index = data_mod.load_index(args.data)
-    val_index = data_mod.load_index(args.val, "val") if args.val else None
+    val_index = data_mod.load_index(args.val) if args.val else None
     train_mod.transfer_finetune(net, index, cfg, lw, val_index=val_index,
                                 log_path=args.log)
     model_mod.save_weights(net, args.out)
@@ -219,16 +227,15 @@ def cmd_transfer(args) -> int:
 def cmd_prune(args) -> int:
     if not 0.0 < args.theta < 1.0:
         raise CliError(f"--theta must lie in (0, 1), got {args.theta}")
-    if args.finetune:
-        if not args.data:
-            raise CliError("--finetune requires --data")
-        cfg, lw = _train_config_prune(args)
+    if args.finetune and not args.data:
+        raise CliError("--finetune requires --data")
+    cfg, lw = _train_config_prune(args)
     net = _load_net(args.weights)
     _, report = train_mod.prune(net, args.theta)
     print(report)
     if args.finetune:
         index = data_mod.load_index(args.data)
-        val_index = data_mod.load_index(args.val, "val") if args.val else None
+        val_index = data_mod.load_index(args.val) if args.val else None
         train_mod.finetune_pruned(net, index, cfg, lw, val_index=val_index)
     model_mod.save_weights(net, args.out)
     print(f"pruned weights -> {args.out}")
@@ -284,7 +291,7 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_conf(args.conf)
-    index = data_mod.load_index(args.data, "val")
+    index = data_mod.load_index(args.data)
     rows = []
     for weight_path in args.weights:
         net = _load_net(weight_path)
@@ -315,30 +322,14 @@ def cmd_ops(args) -> int:
     elif args.model == "tiny_yolo_ref":
         report = perf_mod.count_tiny_yolo_ref()
     else:
-        spec = model_mod.build_spec(args.model or "robo", 2 if args.k is None else args.k)
-        report = perf_mod.count_macs(spec)
+        report = perf_mod.count_macs(_build_spec(args.model or "robo", args.k))
     print(perf_mod.format_op_report(report))
     if args.csv:
         Path(args.csv).write_text(perf_mod.format_op_report(report, csv=True))
         print(f"csv -> {args.csv}")
     if args.compare:
         print()
-        print(perf_mod.preset_comparison().format())
-    return 0
-
-
-def cmd_bench(args) -> int:
-    if args.repeats < 3:
-        raise CliError(f"--repeats must be at least 3, got {args.repeats}")
-    if args.weights:
-        net = _load_net(args.weights)
-    else:
-        net = model_mod.init_network(model_mod.build_spec(args.model, args.k), args.seed)
-    mean_ms, std_ms, pinned = perf_mod.benchmark(net, repeats=args.repeats)
-    fps = 1000.0 / mean_ms if mean_ms > 0 else float("inf")
-    threads = "single thread" if pinned else "BLAS threads not pinned"
-    print(f"{net.spec.name}: {mean_ms:.2f} ms +/- {std_ms:.2f} ms "
-          f"({fps:.1f} FPS, {threads}, {args.repeats} runs)")
+        print(perf_mod.format_comparison(perf_mod.preset_comparison()))
     return 0
 
 
@@ -402,20 +393,13 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=sorted(model_mod._BUILDERS) + ["tiny_yolo_ref"],
                    help="model to count (default: the --weights file's, else robo)")
     p.add_argument("--k", type=_positive_int,
-                   help="resolution multiplier (default: the --weights file's, else 2)")
+                   help="resolution multiplier (default: the --weights file's, else the "
+                        "model's: 2, or 1 for robo_hr)")
     p.add_argument("--weights", help="count this net, with its prune masks")
     p.add_argument("--csv", help="also write the table as CSV")
     p.add_argument("--compare", action="store_true",
                    help="print the preset model comparison")
     p.set_defaults(func=cmd_ops)
-
-    p = sub.add_parser("bench", help="forward-pass benchmark (one BLAS thread if pinnable)")
-    p.add_argument("--weights")
-    p.add_argument("--model", default="robo", choices=sorted(model_mod._BUILDERS))
-    p.add_argument("--k", type=_positive_int, default=1)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -35,7 +35,6 @@ class DatasetIndex:
     root: Path
     entries: list[tuple[str, str]]  # (image path, annotation path), relative
     image_size: tuple[int, int]  # (width, height) in pixels
-    split: str = "train"
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -179,7 +178,7 @@ def rgb_to_yuv(image: np.ndarray) -> np.ndarray:
 # Dataset index.
 
 
-def load_index(root, split: str = "train") -> DatasetIndex:
+def load_index(root) -> DatasetIndex:
     root = Path(root)
     index_path = root / INDEX_FILE
     if not index_path.exists():
@@ -197,7 +196,7 @@ def load_index(root, split: str = "train") -> DatasetIndex:
     if not entries:
         raise ValueError(f"{index_path}: empty dataset index")
     image_size = ppm_size(root / entries[0][0])
-    return DatasetIndex(root, entries, image_size, split)
+    return DatasetIndex(root, entries, image_size)
 
 
 def load_sample(index: DatasetIndex, i: int):
@@ -348,4 +347,4 @@ def generate_toy_dataset(n_images: int, style: str = "A", seed: int = 0, out_dir
     with open(out / INDEX_FILE, "w") as f:
         for img_name, ann_name in entries:
             f.write(f"{img_name} {ann_name}\n")
-    return DatasetIndex(out, entries, (TOY_WIDTH, TOY_HEIGHT), "train")
+    return DatasetIndex(out, entries, (TOY_WIDTH, TOY_HEIGHT))

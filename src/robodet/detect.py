@@ -18,7 +18,6 @@ from .model import CLASS_NAMES, HeadSpec
 from .tensor import ShapeError
 
 DEFAULT_CONF_THRESHOLD = 0.5
-DEFAULT_NMS_IOU = 0.5
 
 
 @dataclass(frozen=True)

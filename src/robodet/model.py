@@ -1,5 +1,5 @@
 """ROBO detector family: declarative layer tables, network instantiation,
-parameter counting, forward/backward passes, and the binary weight format.
+forward/backward passes, and the binary weight format.
 
 Layer indices are 1-based along the backbone; the two detection heads are
 1x1 convolutions tapping intermediate feature maps and are handled
@@ -186,9 +186,11 @@ def build_robo(k: int = 2) -> ModelSpec:
     return _validate(ModelSpec("robo", k, (k * 192, k * 256), layers, heads))
 
 
-def build_robo_hr() -> ModelSpec:
+def build_robo_hr(k: int = 1) -> ModelSpec:
     """Low-resolution ROBO variant: first strided conv removed, input fixed
-    at 192x256 so the head grids match ROBO at k=2."""
+    at 192x256 so the head grids match ROBO at k=2.  k=1 is the only size."""
+    if k != 1:
+        raise ValueError(f"robo_hr has a fixed 192x256 input; k must be 1, got {k}")
     rows = [(3, 2, 3, 8)] + [list(r) for r in _ROBO_BACKBONE[2:]]
     layers = _make_layers(rows, _ROBO_TAP_HI - 1, _ROBO_TAP_LO - 1)
     heads = (
@@ -224,18 +226,16 @@ def build_robo_bn(k: int = 2) -> ModelSpec:
     return _validate(ModelSpec("robo_bn", k, (k * 192, k * 256), layers, heads))
 
 
-_BUILDERS = {
-    "robo": lambda k: build_robo(k),
-    "robo_bn": lambda k: build_robo_bn(k),
-    "robo_hr": lambda k: build_robo_hr(),
-}
+_BUILDERS = {"robo": build_robo, "robo_bn": build_robo_bn, "robo_hr": build_robo_hr}
 
 
-def build_spec(name: str, k: int = 2) -> ModelSpec:
+def build_spec(name: str, k: int | None = None) -> ModelSpec:
+    """The named model at multiplier k; k=None takes the builder's default."""
     try:
-        return _BUILDERS[name](k)
+        builder = _BUILDERS[name]
     except KeyError:
         raise ValueError(f"unknown model {name!r}") from None
+    return builder() if k is None else builder(k)
 
 
 def head_layer_spec(spec: ModelSpec, head: HeadSpec) -> LayerSpec:
@@ -250,37 +250,6 @@ def head_layer_spec(spec: ModelSpec, head: HeadSpec) -> LayerSpec:
         has_bn=False,
         activation="linear",
     )
-
-
-def count_params(spec: ModelSpec, upto_layer: int | None = None) -> int:
-    """Weight+bias element count over backbone layers 1..upto_layer.
-
-    Convolutions followed by batch norm carry no bias of their own (the BN
-    shift plays that role), so only their weights are counted.
-    """
-    if upto_layer is None:
-        upto_layer = len(spec.layers)
-    if upto_layer > len(spec.layers) or upto_layer < 0:
-        raise ValueError(f"upto_layer {upto_layer} out of range")
-    total = 0
-    for layer in spec.layers[:upto_layer]:
-        total += layer.kernel * layer.kernel * layer.in_ch * layer.out_ch
-        if not layer.has_bn:
-            total += layer.out_ch
-    return total
-
-
-def count_head_params(spec: ModelSpec) -> int:
-    total = 0
-    for head in spec.heads:
-        ls = head_layer_spec(spec, head)
-        total += ls.in_ch * ls.out_ch + ls.out_ch
-    return total
-
-
-def count_bn_params(spec: ModelSpec) -> int:
-    """Learnable batch norm parameters (gamma and beta)."""
-    return sum(2 * l.out_ch for l in spec.layers if l.has_bn)
 
 
 @dataclass

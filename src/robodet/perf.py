@@ -1,20 +1,18 @@
-"""Analytic multiply-accumulate counting, sparsity-aware accounting, model
-comparison tables, and a wall-clock forward-pass micro-benchmark.
+"""Analytic multiply-accumulate and parameter counting, sparsity-aware
+accounting and model comparison tables.
 
 MACs are the unit throughout; batch norm and activation costs are excluded
-(well under 1% for these shapes) and bias adds are not counted.
+(well under 1% for these shapes) and bias adds are not counted.  Wall-clock
+timing lives in ``perfbench/run.py``, which pins BLAS to one thread.
 """
 
 from __future__ import annotations
 
-import contextlib
-import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelSpec, Network, forward, head_layer_spec
+from .model import ModelSpec, build_robo, build_robo_bn, build_robo_hr, head_layer_spec
 
 REPORT_FOOTER = "MAC = one multiply-accumulate; batch norm and activation costs excluded."
 
@@ -108,52 +106,34 @@ def count_tiny_yolo_ref() -> OpReport:
     return OpReport("tiny_yolo_ref", layers)
 
 
-@dataclass
-class CompareTable:
-    reports: list[OpReport]
-
-    def ratio(self, a: str, b: str, effective: bool = False) -> float:
-        """total MACs of model a divided by model b's."""
-        by_name = {r.model: r for r in self.reports}
-        pick = (lambda r: r.total_effective) if effective else (lambda r: r.total_macs)
-        return pick(by_name[a]) / pick(by_name[b])
-
-    def format(self) -> str:
-        width = max(len(r.model) for r in self.reports) + 2
-        lines = [f"{'model':<{width}}{'MACs':>14}{'effective':>14}{'params':>10}"]
-        for r in self.reports:
-            lines.append(
-                f"{r.model:<{width}}{r.total_macs:>14,}"
-                f"{round(r.total_effective):>14,}{r.total_params:>10,}"
-            )
-        base = self.reports[0]
-        for r in self.reports[1:]:
-            lines.append(
-                f"{base.model}/{r.model} MAC ratio: "
-                f"{base.total_macs / r.total_macs:.2f}x "
-                f"(effective {base.total_effective / max(r.total_effective, 1):.2f}x)"
-            )
-        lines.append(REPORT_FOOTER)
-        return "\n".join(lines)
+def format_comparison(reports) -> str:
+    """Totals of each report, then the first model's MAC ratio over each other."""
+    width = max(len(r.model) for r in reports) + 2
+    lines = [f"{'model':<{width}}{'MACs':>14}{'effective':>14}{'params':>10}"]
+    for r in reports:
+        lines.append(
+            f"{r.model:<{width}}{r.total_macs:>14,}"
+            f"{round(r.total_effective):>14,}{r.total_params:>10,}"
+        )
+    base = reports[0]
+    for r in reports[1:]:
+        lines.append(
+            f"{base.model}/{r.model} MAC ratio: "
+            f"{base.total_macs / r.total_macs:.2f}x "
+            f"(effective {base.total_effective / max(r.total_effective, 1):.2f}x)"
+        )
+    lines.append(REPORT_FOOTER)
+    return "\n".join(lines)
 
 
-def compare(reports) -> CompareTable:
-    reports = list(reports)
-    if len(reports) < 2:
-        raise ValueError("compare needs at least two models")
-    return CompareTable(reports)
-
-
-def preset_comparison() -> CompareTable:
+def preset_comparison() -> list[OpReport]:
     """Tiny YOLOv3 reference against the three ROBO variants, unpruned."""
-    from .model import build_robo, build_robo_bn, build_robo_hr
-
-    return compare([
+    return [
         count_tiny_yolo_ref(),
         count_macs(build_robo(2)),
         count_macs(build_robo_bn(2)),
         count_macs(build_robo_hr()),
-    ])
+    ]
 
 
 def format_op_report(report: OpReport, csv: bool = False) -> str:
@@ -180,36 +160,3 @@ def format_op_report(report: OpReport, csv: bool = False) -> str:
     )
     lines.append(REPORT_FOOTER)
     return "\n".join(lines)
-
-
-class BenchResult(NamedTuple):
-    mean_ms: float
-    std_ms: float
-    threads_pinned: bool  # whether BLAS was really limited to one thread
-
-
-def benchmark(net: Network, x=None, repeats: int = 10):
-    """Mean/std milliseconds over forward passes, after one untimed warmup
-    run.  BLAS is limited to one thread when threadpoolctl is installed;
-    ``threads_pinned`` says whether it was."""
-    if repeats < 3:
-        raise ValueError("benchmark needs repeats >= 3")
-    if x is None:
-        rng = np.random.default_rng(0)
-        x = rng.random((1, 3) + net.spec.input_hw, dtype=np.float32)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        limit = threadpool_limits(limits=1)
-        pinned = True
-    except ImportError:
-        limit = contextlib.nullcontext()
-        pinned = False
-    times = []
-    with limit:
-        forward(net, x)  # warmup
-        for _ in range(repeats):
-            start = time.perf_counter()
-            forward(net, x)
-            times.append((time.perf_counter() - start) * 1000.0)
-    return BenchResult(float(np.mean(times)), float(np.std(times)), pinned)

@@ -52,7 +52,6 @@ class TrainConfig:
     batch: int = 64
     finetune_epochs: int = 10
     finetune_lr: float = 5e-5
-    prune_threshold: float = 0.01
     seed: int = 0
     transfer_layers: int | None = None
     transfer_lr_factor: float = 10.0
@@ -66,8 +65,6 @@ class TrainConfig:
             raise ValueError(f"finetune_lr must be finite and positive, got {self.finetune_lr}")
         if self.lr_min > self.lr_max:
             raise ValueError("lr_min must not exceed lr_max")
-        if not 0.0 < self.prune_threshold < 1.0:
-            raise ValueError("prune_threshold must lie in (0, 1)")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch < 1:
@@ -505,13 +502,6 @@ def prune(net: Network, theta: float):
         pruned += int((~mask).sum())
         total += mask.size
     return net, PruneReport(per_layer, pruned / total)
-
-
-def sparsity(net: Network) -> float:
-    """Fraction of weights currently masked out."""
-    masked = sum(int((~layer.mask).sum()) for _, layer in net.all_layers())
-    total = sum(layer.mask.size for _, layer in net.all_layers())
-    return masked / total
 
 
 def finetune_pruned(net: Network, index, cfg: TrainConfig, lw: LossWeights, val_index=None,

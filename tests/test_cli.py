@@ -1,9 +1,12 @@
+import argparse
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robodet.cli import box_pixel_rect, main, render_overlay
+from robodet import cli
+from robodet.cli import box_pixel_rect, build_parser, main, render_overlay
 from robodet.data import generate_toy_dataset, load_index, read_ppm, write_ppm
 from robodet.detect import BBox, Detection, load_anchors
 from robodet.evaluate import evaluate
@@ -138,15 +141,8 @@ class TestExitCodes:
         assert err.startswith("error:") and argv[-2] in err
         assert "Traceback" not in err
 
-    def test_bench_too_few_repeats_is_flag_error(self, capsys):
-        code = main(["bench", "--model", "robo", "--k", "1", "--repeats", "2"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error:") and "--repeats" in err
-
     @pytest.mark.parametrize("argv", [
         ["detect", "--weights", "/nonexistent.rbw", "--images", "x.ppm", "--sparse"],
-        ["bench", "--sparse"],
     ], ids=lambda argv: argv[0])
     def test_removed_sparse_flag_is_flag_error(self, capsys, argv):
         code = main(argv)
@@ -220,8 +216,7 @@ class TestExitCodes:
         ["gen-data", "--n", "-2", "--out", "never"],
         ["train", "--data", "never", "--out", "never.rbw", "--k", "0"],
         ["ops", "--k", "0"],
-        ["bench", "--k", "0"],
-    ], ids=["gen-data --n 0", "gen-data --n -2", "train --k 0", "ops --k 0", "bench --k 0"])
+    ], ids=["gen-data --n 0", "gen-data --n -2", "train --k 0", "ops --k 0"])
     def test_count_below_one_is_flag_error(self, tmp_path, monkeypatch, capsys, argv):
         # Run where "never" does not exist: exit 1 and no output directory
         # show the flag is checked before any work.
@@ -233,6 +228,48 @@ class TestExitCodes:
         assert err.startswith("error:") and flag in err
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "never", "--out", "never.rbw", "--model", "robo_hr", "--k", "2"],
+        ["ops", "--model", "robo_hr", "--k", "2", "--csv", "never.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_robo_hr_other_k_is_validation_error(self, tmp_path, monkeypatch, capsys, argv):
+        # Run where "never" does not exist: exit 1, not 2, and an empty
+        # directory show the pairing is checked before any data loads.
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: robo_hr has a fixed 192x256 input; k must be 1")
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "prune"])
+    def test_prune_threshold_config_key_is_validation_error(self, toy_dir, weights_file,
+                                                            tmp_path, capsys, command):
+        # --theta is the only pruning threshold; the config key is gone.
+        config = tmp_path / "c.cfg"
+        config.write_text("prune_threshold=0.05\n")
+        out = tmp_path / "x.rbw"
+        argv = {"train": ["train", "--data", str(toy_dir)],
+                "prune": ["prune", "--weights", str(weights_file)]}[command]
+        code = main(argv + ["--out", str(out), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: line 1: unknown config key 'prune_threshold'")
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_cli_docs_name_the_registered_commands():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = list(sub.choices)
+    assert cli.__doc__.split("\n\n")[1].split() == commands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    used = [line.split()[1] for line in block.splitlines() if line.startswith("robodet ")]
+    assert used and set(used) <= set(commands)
 
 
 class TestGenDataAnchors:
@@ -295,25 +332,11 @@ class TestTrainCli:
                      "--per-class", str(path)]) == 0
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
-        reports = evaluate(load_weights(weights_file), load_index(toy_dir, "val"))
+        reports = evaluate(load_weights(weights_file), load_index(toy_dir))
         assert [row["criterion"] for row in rows] == [r.criterion.label for r in reports]
         for row, r in zip(rows, reports):
             for c, name in enumerate(CLASS_NAMES):
                 assert tuple(int(row[f"{name}_{k}"]) for k in ("tp", "fp", "fn")) == r.counts[c]
-
-    def test_bench_runs(self, capsys):
-        assert main(["bench", "--model", "robo", "--k", "1", "--repeats", "3"]) == 0
-        assert "ms" in capsys.readouterr().out
-
-    def test_bench_thread_label_states_whether_blas_was_pinned(self, capsys):
-        try:
-            import threadpoolctl  # noqa: F401
-            want, unwanted = "single thread", "not pinned"
-        except ImportError:
-            want, unwanted = "BLAS threads not pinned", "single thread"
-        assert main(["bench", "--model", "robo", "--k", "1", "--repeats", "3"]) == 0
-        out = capsys.readouterr().out
-        assert want in out and unwanted not in out
 
     def test_ops_counts_the_weight_file(self, tmp_path, capsys):
         net = init_network(build_robo_bn(1), seed=0)
@@ -341,8 +364,18 @@ class TestTrainCli:
 
     def test_ops_compare_preset(self, capsys):
         assert main(["ops", "--model", "tiny_yolo_ref", "--compare"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if "MAC ratio" in l] == [
+            "tiny_yolo_ref/robo MAC ratio: 39.95x (effective 39.95x)",
+            "tiny_yolo_ref/robo_bn MAC ratio: 12.41x (effective 12.41x)",
+            "tiny_yolo_ref/robo_hr MAC ratio: 43.85x (effective 43.85x)",
+        ]
+
+    def test_ops_robo_hr_defaults_to_its_one_size(self, capsys):
+        assert main(["ops", "--model", "robo_hr"]) == 0
         out = capsys.readouterr().out
-        assert "tiny_yolo_ref" in out and "robo_hr" in out
+        # l1 is 3x3, stride 2, 3->8 channels: 96x128 outputs of a 192x256 input.
+        assert f"{9 * 3 * 8 * 96 * 128:>14,}" in out.splitlines()[2]
 
 
 class TestOverlay:

@@ -19,14 +19,12 @@ from robodet.model import (
     build_robo,
     build_robo_bn,
     build_robo_hr,
-    count_bn_params,
-    count_head_params,
-    count_params,
     forward,
     init_network,
     load_weights,
     save_weights,
 )
+from robodet.perf import count_macs
 from robodet.tensor import ShapeError
 
 from conftest import flip_bytes
@@ -92,41 +90,55 @@ class TestBuilders:
         with pytest.raises(ValueError, match="unknown model"):
             model.build_spec("yolo9000")
 
+    def test_build_spec_default_k(self):
+        assert model.build_spec("robo") == build_robo(2)
+        assert model.build_spec("robo_bn") == build_robo_bn(2)
+        assert model.build_spec("robo_hr") == model.build_spec("robo_hr", 1) == build_robo_hr()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_robo_hr_rejects_other_k(self, k):
+        with pytest.raises(ValueError, match=f"robo_hr .*k must be 1, got {k}"):
+            model.build_spec("robo_hr", k)
+
+
+def _layer_params(spec):
+    """Parameters of each backbone layer in order, then of each head."""
+    return [l.params for l in count_macs(spec).layers]
+
 
 class TestParamCounts:
     def test_prefix_1548(self):
-        assert count_params(build_robo(2), 3) == 1548
+        assert sum(_layer_params(build_robo(2))[:3]) == 1548
 
     def test_upto_zero(self):
-        assert count_params(build_robo(2), 0) == 0
+        # The empty prefix counts nothing, and every layer adds parameters.
+        params = _layer_params(build_robo(2))
+        assert sum(params[:0]) == 0 and min(params) > 0
 
     @pytest.mark.parametrize(
         "upto,target", [(3, 1_500), (5, 8_500), (7, 36_000), (9, 110_000)]
     )
     def test_prefix_counts_near_published(self, upto, target):
-        got = count_params(build_robo(2), upto)
+        got = sum(_layer_params(build_robo(2))[:upto])
         assert abs(got - target) / target < 0.10
 
     def test_total_near_published(self):
-        spec = build_robo(2)
-        total = count_params(spec) + count_head_params(spec)
+        total = sum(_layer_params(build_robo(2)))
         assert abs(total - 555_000) / 555_000 < 0.05
 
     def test_robo_bn_total(self):
-        spec = build_robo_bn(2)
-        total = count_params(spec) + count_head_params(spec)
+        total = sum(_layer_params(build_robo_bn(2)))
         assert 1_350_000 <= total <= 1_820_000
 
     def test_counts_independent_of_k(self):
-        assert count_params(build_robo(1)) == count_params(build_robo(4))
-
-    def test_bn_params_reported_separately(self):
-        spec = build_robo(1)
-        assert count_bn_params(spec) == sum(2 * l.out_ch for l in spec.layers)
+        assert _layer_params(build_robo(1)) == _layer_params(build_robo(4))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            count_params(build_robo(1), 99)
+        # Backbone layers come first and in order, so a prefix of at most
+        # len(spec.layers) entries never reaches into the heads.
+        spec = build_robo(1)
+        names = [l.name for l in count_macs(spec).layers]
+        assert names == [f"l{i}" for i in range(1, len(spec.layers) + 1)] + [HEAD_LO, HEAD_HI]
 
 
 class TestInitNetwork:
@@ -236,6 +248,15 @@ class TestWeightFile:
                 np.testing.assert_array_equal(la.bn.mean, lb.bn.mean)
                 np.testing.assert_array_equal(la.bn.var, lb.bn.var)
         np.testing.assert_array_equal(net.anchors, loaded.anchors)
+
+    def test_robo_hr_round_trip(self, tmp_path):
+        net = init_network(build_robo_hr(), seed=3)
+        path = tmp_path / "hr.rbw"
+        save_weights(net, path)
+        loaded = load_weights(path)
+        assert loaded.spec == net.spec
+        for (_, la), (_, lb) in zip(net.all_layers(), loaded.all_layers()):
+            np.testing.assert_array_equal(la.conv.weights, lb.conv.weights)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rbw"

@@ -28,7 +28,6 @@ from robodet.train import (
     hflip,
     parse_config,
     prune,
-    sparsity,
     train_loop,
     transfer_finetune,
 )
@@ -605,7 +604,7 @@ class TestConfigFile:
     def test_round_trip(self):
         text = (
             "lr_max=0.002\nlr_min=1e-05\nepochs=25\nbatch=16\nfinetune_epochs=3\n"
-            "finetune_lr=2e-05\nprune_threshold=0.05\nseed=9\ntransfer_layers=5\n"
+            "finetune_lr=2e-05\nseed=9\ntransfer_layers=5\n"
             "transfer_lr_factor=4.0\n"
             "lambda_coord=4.0\nlambda_obj=2.0\nlambda_noobj=0.25\nlambda_l1=0.001\n"
         )
@@ -614,7 +613,7 @@ class TestConfigFile:
         cfg, lw = parse_config(text)
         assert cfg == TrainConfig(
             lr_max=0.002, lr_min=1e-5, epochs=25, batch=16, finetune_epochs=3,
-            finetune_lr=2e-5, prune_threshold=0.05, seed=9, transfer_layers=5,
+            finetune_lr=2e-5, seed=9, transfer_layers=5,
             transfer_lr_factor=4.0,
         )
         assert lw == LossWeights(coord=4.0, obj=2.0, noobj=0.25, l1=1e-3)
@@ -793,8 +792,3 @@ class TestTrainLoop:
         train_loop(net, micro_dataset, micro_cfg(epochs=1), LossWeights(l1=1e-3))
         for name, layer in net.all_layers():
             assert np.abs(layer.conv.weights).sum() < before[name], name
-
-    def test_sparsity_helper(self, tiny_net):
-        assert sparsity(tiny_net) == 0.0
-        prune(tiny_net, 0.1)
-        assert sparsity(tiny_net) > 0.0
