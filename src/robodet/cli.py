@@ -102,10 +102,6 @@ def render_overlay(image: np.ndarray, detections, out_path) -> None:
     data_mod.write_ppm(out_path, canvas)
 
 
-def _load_net(path: str) -> model_mod.Network:
-    return model_mod.load_weights(path)
-
-
 def _build_spec(name: str, k) -> model_mod.ModelSpec:
     """build_spec with a bad model/k pairing as a validation error (exit 1)."""
     try:
@@ -114,15 +110,23 @@ def _build_spec(name: str, k) -> model_mod.ModelSpec:
         raise CliError(str(exc)) from exc
 
 
-def _config_with_overrides(config_path, overrides, l1=None):
-    """TrainConfig and LossWeights from a config file (or the defaults) with
-    the given flag values on top; flags left as None keep the file's value.
+# Flags that override the TrainConfig field of the same name.
+_CONFIG_FLAGS = ("epochs", "batch", "lr_max", "lr_min", "seed", "transfer_layers",
+                 "finetune_epochs")
+
+
+def _train_config(args) -> tuple[train_mod.TrainConfig, train_mod.LossWeights]:
+    """TrainConfig and LossWeights from --config (or the defaults) with the
+    command's flags on top; a flag the command lacks or leaves unset keeps
+    the file's value.
 
     A bad value, from either source, is a validation error (exit 1).
     """
+    overrides = {k: getattr(args, k, None) for k in _CONFIG_FLAGS}
+    l1 = getattr(args, "l1", None)
     try:
-        if config_path:
-            cfg, lw = train_mod.parse_config(Path(config_path).read_text())
+        if args.config:
+            cfg, lw = train_mod.parse_config(Path(args.config).read_text())
         else:
             cfg, lw = train_mod.TrainConfig(), train_mod.LossWeights()
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
@@ -133,16 +137,22 @@ def _config_with_overrides(config_path, overrides, l1=None):
     return cfg, lw
 
 
-def _train_config(args) -> tuple[train_mod.TrainConfig, train_mod.LossWeights]:
-    overrides = {
-        "epochs": args.epochs,
-        "batch": args.batch,
-        "lr_max": args.lr_max,
-        "lr_min": args.lr_min,
-        "seed": args.seed,
-        "transfer_layers": getattr(args, "transfer_layers", None),
-    }
-    return _config_with_overrides(args.config, overrides, l1=args.l1)
+def _check_image_size(spec: model_mod.ModelSpec, source, size) -> None:
+    """Exit 1 unless a (width, height) image size is spec's input size."""
+    h, w = spec.input_hw
+    if size != (w, h):
+        raise CliError(f"{source}: image size {size[0]}x{size[1]} does not match the "
+                       f"{spec.name} k={spec.k} input {w}x{h}")
+
+
+def _load_index(path, spec: model_mod.ModelSpec):
+    """The dataset index at path (None for no path), checked against spec's
+    input size before any sample loads."""
+    if not path:
+        return None
+    index = data_mod.load_index(path)
+    _check_image_size(spec, path, index.image_size)
+    return index
 
 
 def _resolve_anchors(args, index) -> np.ndarray:
@@ -151,8 +161,7 @@ def _resolve_anchors(args, index) -> np.ndarray:
             return detect_mod.load_anchors(args.anchors)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    annotations = data_mod.load_all_annotations(index)
-    return detect_mod.compute_anchors([(a.class_id, a.box) for a in annotations])
+    return detect_mod.compute_anchors(data_mod.load_all_annotations(index))
 
 
 def _add_train_flags(p, require_model=True):
@@ -174,6 +183,8 @@ def _add_train_flags(p, require_model=True):
 
 
 def cmd_gen_data(args) -> int:
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     index = data_mod.generate_toy_dataset(args.n, args.style, args.seed, args.out)
     print(f"wrote {len(index)} images to {index.root}")
     return 0
@@ -181,8 +192,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_anchors(args) -> int:
     index = data_mod.load_index(args.data)
-    annotations = data_mod.load_all_annotations(index)
-    anchors = detect_mod.compute_anchors([(a.class_id, a.box) for a in annotations])
+    anchors = detect_mod.compute_anchors(data_mod.load_all_annotations(index))
     out = args.out or str(Path(args.data) / "anchors.txt")
     detect_mod.save_anchors(out, anchors)
     for name, (aw, ah) in zip(model_mod.CLASS_NAMES, anchors):
@@ -194,8 +204,8 @@ def cmd_anchors(args) -> int:
 def cmd_train(args) -> int:
     cfg, lw = _train_config(args)
     spec = _build_spec(args.model, args.k)
-    index = data_mod.load_index(args.data)
-    val_index = data_mod.load_index(args.val) if args.val else None
+    index = _load_index(args.data, spec)
+    val_index = _load_index(args.val, spec)
     net = model_mod.init_network(spec, cfg.seed)
     net.anchors = _resolve_anchors(args, index)
     metrics = train_mod.train_loop(net, index, cfg, lw, val_index=val_index,
@@ -210,13 +220,13 @@ def cmd_transfer(args) -> int:
     cfg, lw = _train_config(args)
     if cfg.transfer_layers is None:
         raise CliError("--transfer-layers is required (0 = all layers at reduced rate)")
-    net = _load_net(args.weights)
+    net = model_mod.load_weights(args.weights)
     try:
         train_mod.check_transfer_layers(net, cfg.transfer_layers)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    index = data_mod.load_index(args.data)
-    val_index = data_mod.load_index(args.val) if args.val else None
+    index = _load_index(args.data, net.spec)
+    val_index = _load_index(args.val, net.spec)
     train_mod.transfer_finetune(net, index, cfg, lw, val_index=val_index,
                                 log_path=args.log)
     model_mod.save_weights(net, args.out)
@@ -229,22 +239,18 @@ def cmd_prune(args) -> int:
         raise CliError(f"--theta must lie in (0, 1), got {args.theta}")
     if args.finetune and not args.data:
         raise CliError("--finetune requires --data")
-    cfg, lw = _train_config_prune(args)
-    net = _load_net(args.weights)
+    cfg, lw = _train_config(args)
+    net = model_mod.load_weights(args.weights)
+    if args.finetune:
+        index = _load_index(args.data, net.spec)
+        val_index = _load_index(args.val, net.spec)
     _, report = train_mod.prune(net, args.theta)
     print(report)
     if args.finetune:
-        index = data_mod.load_index(args.data)
-        val_index = data_mod.load_index(args.val) if args.val else None
         train_mod.finetune_pruned(net, index, cfg, lw, val_index=val_index)
     model_mod.save_weights(net, args.out)
     print(f"pruned weights -> {args.out}")
     return 0
-
-
-def _train_config_prune(args):
-    overrides = {"seed": args.seed, "finetune_epochs": args.finetune_epochs}
-    return _config_with_overrides(args.config, overrides)
 
 
 def _positive_int(text: str) -> int:
@@ -267,7 +273,9 @@ def cmd_detect(args) -> int:
     _check_conf(args.conf)
     if args.nms is not None and not 0.0 < args.nms <= 1.0:
         raise CliError(f"--nms must lie in (0, 1], got {args.nms}")
-    net = _load_net(args.weights)
+    net = model_mod.load_weights(args.weights)
+    for image_path in args.images:
+        _check_image_size(net.spec, image_path, data_mod.ppm_size(image_path))
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,11 +300,11 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     _check_conf(args.conf)
     index = data_mod.load_index(args.data)
-    rows = []
-    for weight_path in args.weights:
-        net = _load_net(weight_path)
-        reports = eval_mod.evaluate(net, index, conf_threshold=args.conf)
-        rows.append((Path(weight_path).stem, reports))
+    nets = [model_mod.load_weights(path) for path in args.weights]
+    for net in nets:
+        _check_image_size(net.spec, args.data, index.image_size)
+    rows = [(Path(path).stem, eval_mod.evaluate(net, index, conf_threshold=args.conf))
+            for path, net in zip(args.weights, nets)]
     labels = [r.criterion.label for r in rows[0][1]]
     name_w = max(len(name) for name, _ in rows) + 2
     print(f"{'model':<{name_w}}" + "".join(f"{l:>12}" for l in labels))
@@ -313,7 +321,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ops(args) -> int:
     if args.weights:
-        net = _load_net(args.weights)
+        net = model_mod.load_weights(args.weights)
         spec = net.spec
         if args.model not in (None, spec.name) or args.k not in (None, spec.k):
             raise CliError(f"{args.weights} holds {spec.name} at k={spec.k}; "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,9 @@ TOY_HEIGHT = 192
 DEFAULT_MIN_WH = 8 / 640
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
+    """The (class_id, box) pair that anchors, targets and matching unpack."""
+
     class_id: int
     box: BBox
 

@@ -178,7 +178,7 @@ def evaluate(net, index, criteria=None, conf_threshold: float = 0.01):
         raw_lo, raw_hi = model_mod.forward(net, x)
         lo, hi = detect_mod.decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
         per_image_dets.append(detect_mod.postprocess(lo, hi, conf_threshold=conf_threshold))
-        per_image_gts.append([(a.class_id, a.box) for a in annotations])
+        per_image_gts.append(annotations)
     return evaluate_detections(per_image_dets, per_image_gts, criteria)
 
 

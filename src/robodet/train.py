@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import expit
@@ -71,6 +71,8 @@ class TrainConfig:
             raise ValueError(f"batch must be at least 1, got {self.batch}")
         if self.finetune_epochs < 0:
             raise ValueError(f"finetune_epochs must be non-negative, got {self.finetune_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.transfer_lr_factor > 0:
             raise ValueError(
                 f"transfer_lr_factor must be positive, got {self.transfer_lr_factor}"
@@ -122,10 +124,11 @@ def cosine_lr(t: int, total: int, cfg: TrainConfig) -> float:
 class AdamState:
     """First/second moment estimates keyed like the parameter dict."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -365,11 +368,8 @@ def _epoch_batches(n, batch, rng):
 def _layer_lr_scale(net: Network, k_t: int, factor: float):
     """Full rate for backbone layers 1..k_t, reduced for the rest and heads."""
     scale = {}
-    slow = 1.0 / factor
-    for name, layer in net.all_layers():
-        mult = slow
-        if name.startswith("l") and int(name[1:]) <= k_t:
-            mult = 1.0
+    for position, (name, _) in enumerate(net.all_layers()):
+        mult = 1.0 if position < k_t else 1.0 / factor
         for suffix in (".w", ".b", ".gamma", ".beta"):
             scale[name + suffix] = mult
     return scale
@@ -389,21 +389,18 @@ def train_loop(
     cfg: TrainConfig,
     lw: LossWeights,
     val_index=None,
-    epochs: int | None = None,
-    schedule: str = "cosine",
     lr_scale=None,
-    assert_masks: bool = False,
     augment_data: bool = True,
     log_path=None,
 ):
-    """Shuffled minibatch training with Adam; returns per-epoch metrics.
+    """Shuffled minibatch Adam training for cfg.epochs epochs on the cosine
+    schedule; returns per-epoch metrics.
 
     Every 5 epochs (and on the last), validation mAP at the 16 px
     center-distance criterion is logged when val_index is given.
     """
     from .evaluate import map_at_distance
 
-    epochs = cfg.epochs if epochs is None else epochs
     rng = np.random.default_rng(cfg.seed)
     images, targets = _load_dataset(index)
     n = len(images)
@@ -413,12 +410,12 @@ def train_loop(
     masks = weight_masks(net)
     active_masks = {k: m for k, m in masks.items() if not m.all()}
     state = AdamState(params)
-    total_steps = epochs * n_batches
+    total_steps = cfg.epochs * n_batches
     metrics = []
     log_file = open(log_path, "a") if log_path else None
     try:
         step = 0
-        for epoch in range(epochs):
+        for epoch in range(cfg.epochs):
             epoch_losses = []
             for b, ids in enumerate(_epoch_batches(n, batch, rng)):
                 xs, batch_targets = [], []
@@ -427,7 +424,7 @@ def train_loop(
                     if augment_data:
                         img, anns = augment(img, anns, rng)
                     xs.append(data_mod.rgb_to_yuv(img))
-                    batch_targets.append([(a.class_id, a.box) for a in anns])
+                    batch_targets.append(anns)
                 x = np.stack(xs)
                 (raw_lo, raw_hi), cache = forward_with_cache(net, x)
                 loss, grad_lo, grad_hi = batch_detection_loss(
@@ -441,21 +438,13 @@ def train_loop(
                 if lw.l1 > 0:
                     for name in masks:
                         grads[name] = grads[name] + lw.l1 * np.sign(params[name])
-                if schedule == "cosine":
-                    lr = cosine_lr(step, total_steps, cfg)
-                else:
-                    lr = cfg.finetune_lr
+                lr = cosine_lr(step, total_steps, cfg)
                 adam_step(params, grads, state, lr, masks=active_masks, lr_scale=lr_scale)
-                if assert_masks:
-                    for name, m in active_masks.items():
-                        assert np.all(params[name][~m] == 0.0), (
-                            f"pruned weights of {name} drifted from zero"
-                        )
                 epoch_losses.append(loss)
                 step += 1
             mean_loss = float(np.mean(epoch_losses))
             val_map = None
-            if val_index is not None and ((epoch + 1) % 5 == 0 or epoch == epochs - 1):
+            if val_index is not None and ((epoch + 1) % 5 == 0 or epoch == cfg.epochs - 1):
                 val_map = map_at_distance(net, val_index)
             metrics.append({"epoch": epoch, "loss": mean_loss, "lr": lr, "val_map": val_map})
             if log_file:
@@ -506,17 +495,16 @@ def prune(net: Network, theta: float):
 
 def finetune_pruned(net: Network, index, cfg: TrainConfig, lw: LossWeights, val_index=None,
                     log_path=None):
-    """Constant-rate fine-tuning that keeps every pruned weight at zero."""
+    """cfg.finetune_epochs epochs at the flat rate cfg.finetune_lr (a cosine
+    with equal ends); adam_step keeps every pruned weight at zero.  Zero
+    epochs return net untouched, without reading the dataset."""
     if all(layer.mask.all() for _, layer in net.all_layers()):
         warnings.warn("finetune_pruned called on a network with no pruned weights")
-    train_loop(
-        net, index, cfg, lw,
-        val_index=val_index,
-        epochs=cfg.finetune_epochs,
-        schedule="constant",
-        assert_masks=True,
-        log_path=log_path,
-    )
+    if cfg.finetune_epochs == 0:
+        return net
+    flat = replace(cfg, epochs=cfg.finetune_epochs, lr_max=cfg.finetune_lr,
+                   lr_min=cfg.finetune_lr)
+    train_loop(net, index, flat, lw, val_index=val_index, log_path=log_path)
     return net
 
 

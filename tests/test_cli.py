@@ -1,5 +1,7 @@
 import argparse
 import csv
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from robodet.model import (
     save_weights,
 )
 from robodet.perf import count_macs
-from robodet.train import prune
+from robodet.train import _LOSS_KEYS, TrainConfig, prune
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,14 @@ def weights_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli_weights") / "net.rbw"
     net = init_network(build_robo(1), seed=0)
     save_weights(net, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def k2_weights_file(tmp_path_factory):
+    """robo at k=2: a 512x384 input, twice the toy images' 256x192."""
+    path = tmp_path_factory.mktemp("cli_weights_k2") / "net_k2.rbw"
+    save_weights(init_network(build_robo(2), seed=0), path)
     return path
 
 
@@ -260,6 +270,51 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["gen-data", "train", "config"])
+    def test_negative_seed_is_validation_error(self, toy_dir, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        config = tmp_path / "c.cfg"
+        config.write_text("seed=-1\n")
+        argv = {
+            "gen-data": ["gen-data", "--n", "1", "--seed", "-1", "--out", str(out)],
+            "train": ["train", "--data", str(toy_dir), "--out", str(out), "--seed", "-1"],
+            "config": ["train", "--data", str(toy_dir), "--out", str(out),
+                       "--config", str(config)],
+        }[source]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "seed must be non-negative, got -1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "transfer", "prune", "eval", "detect"])
+    def test_image_size_mismatch_is_validation_error(self, toy_dir, weights_file,
+                                                     k2_weights_file, tmp_path, capsys,
+                                                     command):
+        # The k=2 net takes 512x384 input; the toy images are 256x192.
+        out = tmp_path / "out"
+        image = toy_dir / "img_00000.ppm"
+        argv = {
+            "train": ["train", "--data", str(toy_dir), "--k", "2", "--out", str(out)],
+            "transfer": ["transfer", "--weights", str(k2_weights_file), "--data", str(toy_dir),
+                         "--transfer-layers", "4", "--out", str(out)],
+            "prune": ["prune", "--weights", str(k2_weights_file), "--finetune",
+                      "--data", str(toy_dir), "--out", str(out)],
+            "eval": ["eval", "--data", str(toy_dir), "--weights", str(weights_file),
+                     str(k2_weights_file), "--out", str(out)],
+            "detect": ["detect", "--weights", str(k2_weights_file), "--images", str(image),
+                       "--out-dir", str(out)],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        source = image if command == "detect" else toy_dir
+        assert code == 1
+        assert captured.err == (f"error: {source}: image size 256x192 does not match "
+                                "the robo k=2 input 512x384\n")
+        assert captured.out == ""
+        assert not out.exists()
+
 
 def test_cli_docs_name_the_registered_commands():
     parser = build_parser()
@@ -270,6 +325,14 @@ def test_cli_docs_name_the_registered_commands():
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     used = [line.split()[1] for line in block.splitlines() if line.startswith("robodet ")]
     assert used and set(used) <= set(commands)
+
+
+def test_readme_names_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = readme.split("- **Training config**", 1)[1].split("\n- **", 1)[0]
+    keys = bullet.split("The keys are", 1)[1].split("any other key", 1)[0]
+    named = set(re.findall(r"`(\w+)`", keys)) - {"TrainConfig"}
+    assert named == {f.name for f in fields(TrainConfig)} | set(_LOSS_KEYS)
 
 
 class TestGenDataAnchors:

@@ -20,6 +20,7 @@ from robodet.train import (
     _epoch_batches,
     _frac,
     _jitter_hsv,
+    _layer_lr_scale,
     adam_step,
     augment,
     batch_detection_loss,
@@ -67,6 +68,13 @@ class TestCosineSchedule:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             cosine_lr(5, 4, TrainConfig())
+
+    @given(x=st.floats(1e-12, 1e3), total=st.integers(0, 10**6), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_ends_are_flat(self, x, total, data):
+        # finetune_pruned's flat rate rests on this: the cosine term is 0.0.
+        t = data.draw(st.integers(0, total))
+        assert cosine_lr(t, total, TrainConfig(lr_max=x, lr_min=x)) == x
 
 
 class TestAdam:
@@ -661,6 +669,7 @@ class TestConfigFile:
         ("lr_max", float("nan")), ("lr_max", float("inf")), ("lr_max", 0.0), ("lr_max", -1.0),
         ("lr_min", float("nan")), ("lr_min", -1e-4),
         ("finetune_lr", float("nan")), ("finetune_lr", 0.0), ("finetune_lr", float("-inf")),
+        ("seed", -1),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -737,6 +746,46 @@ class TestTrainLoop:
         finetune_pruned(net, micro_dataset, cfg, LossWeights())
         for _, layer in net.all_layers():
             assert np.all(layer.conv.weights[~layer.mask] == 0.0)
+
+    def test_finetune_is_train_loop_at_constant_rate(self, micro_dataset, tmp_path,
+                                                     monkeypatch):
+        # Oracle: the former constant-rate mode, train_loop for
+        # finetune_epochs with every step at finetune_lr.
+        cfg = micro_cfg(finetune_epochs=2, finetune_lr=3e-4)
+        saved = []
+        for oracle in (False, True):
+            net = init_network(build_robo(1), seed=2)
+            prune(net, 0.3)
+            if oracle:
+                monkeypatch.setattr(train_mod, "cosine_lr", lambda t, total, c: c.finetune_lr)
+                train_loop(net, micro_dataset, replace(cfg, epochs=cfg.finetune_epochs),
+                           LossWeights(l1=3e-3))
+            else:
+                finetune_pruned(net, micro_dataset, cfg, LossWeights(l1=3e-3))
+            path = tmp_path / f"{oracle}.rbw"
+            save_weights(net, path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
+    def test_zero_finetune_epochs_reads_nothing(self, tmp_path):
+        data = generate_toy_dataset(2, "A", seed=0, out_dir=tmp_path / "d")
+        (tmp_path / "d" / data.entries[0][1]).write_text("not an annotation\n")
+        net = init_network(build_robo(1), seed=2)
+        prune(net, 0.3)
+        before = tmp_path / "before.rbw"
+        after = tmp_path / "after.rbw"
+        save_weights(net, before)
+        assert finetune_pruned(net, data, micro_cfg(finetune_epochs=0), LossWeights()) is net
+        save_weights(net, after)
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_layer_lr_scale_by_position(self):
+        net = init_network(build_robo(1), seed=0)
+        scale = _layer_lr_scale(net, 4, 10.0)
+        names = [name for name, _ in net.all_layers()]
+        assert len(names) == 17
+        for position, name in enumerate(names):
+            assert scale[name + ".w"] == (1.0 if position < 4 else 0.1), name
 
     def test_finetune_changes_unmasked(self, micro_dataset):
         net = init_network(build_robo(1), seed=2)
