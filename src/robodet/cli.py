@@ -145,12 +145,20 @@ def _check_image_size(spec: model_mod.ModelSpec, source, size) -> None:
                        f"{spec.name} k={spec.k} input {w}x{h}")
 
 
+def _read_index(path) -> data_mod.DatasetIndex:
+    """load_index with images of different sizes as a validation error."""
+    try:
+        return data_mod.load_index(path)
+    except data_mod.ImageSizeError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _load_index(path, spec: model_mod.ModelSpec):
     """The dataset index at path (None for no path), checked against spec's
     input size before any sample loads."""
     if not path:
         return None
-    index = data_mod.load_index(path)
+    index = _read_index(path)
     _check_image_size(spec, path, index.image_size)
     return index
 
@@ -191,7 +199,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_anchors(args) -> int:
-    index = data_mod.load_index(args.data)
+    index = _read_index(args.data)
     anchors = detect_mod.compute_anchors(data_mod.load_all_annotations(index))
     out = args.out or str(Path(args.data) / "anchors.txt")
     detect_mod.save_anchors(out, anchors)
@@ -299,7 +307,7 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_conf(args.conf)
-    index = data_mod.load_index(args.data)
+    index = _read_index(args.data)
     nets = [model_mod.load_weights(path) for path in args.weights]
     for net in nets:
         _check_image_size(net.spec, args.data, index.image_size)

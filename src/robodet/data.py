@@ -8,6 +8,7 @@ object, all fields normalized to the image.  A dataset directory holds an
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -60,94 +61,110 @@ def read_ppm(path) -> np.ndarray:
 
     A malformed file raises ValueError naming the path.
     """
-    data, w, h, pos = _read_ppm_layout(path)
-    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
-    return pixels.reshape(h, w, 3).copy()
+    with open(path, "rb") as f:
+        w, h = _read_ppm_header(f, path)
+        image = np.empty((h, w, 3), dtype=np.uint8)
+        got = f.readinto(image)
+    if got != image.nbytes:
+        raise ValueError(f"{path}: truncated pixel data: {got} of {image.nbytes} bytes")
+    return image
 
 
 def ppm_size(path) -> tuple[int, int]:
-    """Read (width, height) from a PPM header without decoding pixels."""
-    _, w, h, _ = _read_ppm_layout(path)
+    """(width, height) of a PPM, reading only its header and file size."""
+    with open(path, "rb") as f:
+        return _read_ppm_header(f, path)
+
+
+def _read_ppm_header(f, path) -> tuple[int, int]:
+    """(width, height) of the P6 file open as f, leaving f at the first
+    pixel byte; raises ValueError naming path unless the file is long
+    enough to hold every pixel."""
+    try:
+        w, h = _parse_ppm_header(f)
+        have = os.fstat(f.fileno()).st_size - f.tell()
+        if have < w * h * 3:
+            raise ValueError(f"truncated pixel data: {max(have, 0)} of {w * h * 3} bytes")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return w, h
 
 
-def _read_ppm_layout(path):
-    """(file bytes, width, height, pixel data offset) of a checked P6 file."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        w, h, pos = _parse_ppm(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return data, w, h, pos
-
-
-def _parse_ppm(data: bytes) -> tuple[int, int, int]:
-    """(width, height, pixel data offset) of P6 bytes holding all the pixels."""
-    if not data.startswith(b"P6"):
+def _parse_ppm_header(f) -> tuple[int, int]:
+    """(width, height) from the P6 header at the start of binary file f."""
+    if f.read(2) != b"P6":
         raise ValueError("not a binary PPM (P6) file")
     # Header: magic, width, height, maxval; '#' comments allowed between tokens.
-    pos = 2
     fields = []
+    c = f.read(1)
     while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            if end < 0:
-                raise ValueError("header comment runs to the end of the file")
-            pos = end + 1
+        if c.isspace():
+            c = f.read(1)
             continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
+        if c == b"#":
+            if not f.readline().endswith(b"\n"):
+                raise ValueError("header comment runs to the end of the file")
+            c = f.read(1)
+            continue
+        token = bytearray()
+        while c and not c.isspace():
+            token += c
+            c = f.read(1)
         if not token:
             raise ValueError("header ends before width, height and maxval")
         if not token.isdigit():
-            raise ValueError(f"malformed header field {token[:16]!r}")
+            raise ValueError(f"malformed header field {bytes(token[:16])!r}")
         fields.append(int(token))
+    # The single whitespace byte after maxval, now in c, ends the header.
     w, h, maxval = fields
     if w < 1 or h < 1:
         raise ValueError(f"image size {w}x{h} is not positive")
     if maxval != 255:
         raise ValueError(f"unsupported maxval {maxval}")
-    pos += 1  # single whitespace after maxval
-    if len(data) - pos < w * h * 3:
-        raise ValueError(f"truncated pixel data: {len(data) - pos} of {w * h * 3} bytes")
-    return w, h, pos
+    return w, h
 
 
 # ---------------------------------------------------------------------------
 # Annotations.
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; undecodable bytes raise ValueError
+    naming path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return list(f)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_annotations(path) -> list[Annotation]:
+    """The annotations of one image; a malformed file raises ValueError
+    naming the path (and the line, for a bad line)."""
     out = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'class_id cx cy w h', got {len(parts)} fields"
-                )
-            try:
-                class_id = int(parts[0])
-                cx, cy, w, h = (float(p) for p in parts[1:])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
-            if not 0 <= class_id < len(CLASS_NAMES):
-                raise ValueError(
-                    f"{path}:{lineno}: class_id {class_id} outside 0..{len(CLASS_NAMES) - 1}"
-                )
-            if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):
-                raise ValueError(f"{path}:{lineno}: box center outside [0, 1]")
-            if not (0.0 < w <= 1.0 and 0.0 < h <= 1.0):
-                raise ValueError(f"{path}:{lineno}: box size outside (0, 1]")
-            out.append(Annotation(class_id, BBox(cx, cy, w, h)))
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ValueError(
+                f"{path}:{lineno}: expected 'class_id cx cy w h', got {len(parts)} fields"
+            )
+        try:
+            class_id = int(parts[0])
+            cx, cy, w, h = (float(p) for p in parts[1:])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+        if not 0 <= class_id < len(CLASS_NAMES):
+            raise ValueError(
+                f"{path}:{lineno}: class_id {class_id} outside 0..{len(CLASS_NAMES) - 1}"
+            )
+        if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):
+            raise ValueError(f"{path}:{lineno}: box center outside [0, 1]")
+        if not (0.0 < w <= 1.0 and 0.0 < h <= 1.0):
+            raise ValueError(f"{path}:{lineno}: box size outside (0, 1]")
+        out.append(Annotation(class_id, BBox(cx, cy, w, h)))
     return out
 
 
@@ -180,24 +197,42 @@ def rgb_to_yuv(image: np.ndarray) -> np.ndarray:
 # Dataset index.
 
 
+class ImageSizeError(ValueError):
+    """The images of one dataset differ in size."""
+
+
 def load_index(root) -> DatasetIndex:
+    """The dataset at root, after reading every image's header.
+
+    An image file that is missing raises FileNotFoundError naming its index
+    line; images of different sizes raise ImageSizeError.
+    """
     root = Path(root)
     index_path = root / INDEX_FILE
-    if not index_path.exists():
+    if not index_path.is_file():
         raise FileNotFoundError(f"no {INDEX_FILE} in {root}")
     entries = []
-    with open(index_path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{index_path}:{lineno}: expected 'image annotations'")
-            entries.append((parts[0], parts[1]))
+    for lineno, raw in enumerate(_read_lines(index_path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{index_path}:{lineno}: expected 'image annotations'")
+        if not os.path.isfile(root / parts[0]):
+            raise FileNotFoundError(f"{index_path}:{lineno}: no image file {parts[0]!r}")
+        entries.append((parts[0], parts[1]))
     if not entries:
         raise ValueError(f"{index_path}: empty dataset index")
-    image_size = ppm_size(root / entries[0][0])
+    first = root / entries[0][0]
+    image_size = ppm_size(first)
+    for img_rel, _ in entries[1:]:
+        size = ppm_size(root / img_rel)
+        if size != image_size:
+            raise ImageSizeError(
+                f"{root / img_rel}: image size {size[0]}x{size[1]} differs from "
+                f"{image_size[0]}x{image_size[1]} of {first}"
+            )
     return DatasetIndex(root, entries, image_size)
 
 

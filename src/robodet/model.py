@@ -313,11 +313,16 @@ def init_network(spec: ModelSpec, seed: int = 0) -> Network:
 
 def _layer_forward(layer: Layer, x, cache=None):
     z = conv2d_forward(x, layer.conv)
-    mode = "infer" if cache is None else "train"
-    zn = batch_norm(z, layer.bn, mode) if layer.bn is not None else z
+    stats = None
+    if layer.bn is None:
+        zn = z
+    elif cache is None:
+        zn = batch_norm(z, layer.bn, "infer")
+    else:
+        zn, stats = batch_norm(z, layer.bn, "train")
     a = leaky_relu(zn) if layer.spec.activation == "leaky" else zn
     if cache is not None:
-        cache.append({"x": x, "z": z, "zn": zn})
+        cache.append({"x": x, "z": z, "zn": zn, "stats": stats})
     return a
 
 
@@ -359,8 +364,8 @@ def _forward_impl(net, x, keep_cache):
 def backward(net: Network, cache, grad_lo: np.ndarray, grad_hi: np.ndarray):
     """Backprop head-output gradients to every parameter.
 
-    Returns a dict keyed like trainable_params(); input gradients are not
-    returned (the image is not a parameter).
+    Returns a dict keyed like trainable_params().  The image is not a
+    parameter, so layer 1's input gradient is not computed.
     """
     grads: dict[str, np.ndarray] = {}
     tap_grads = {}
@@ -380,12 +385,12 @@ def backward(net: Network, cache, grad_lo: np.ndarray, grad_hi: np.ndarray):
         if layer.spec.activation == "leaky":
             g = leaky_relu_backward(entry["zn"], g)
         if layer.bn is not None:
-            g, dgamma, dbeta = batch_norm_backward(entry["z"], layer.bn, g)
+            g, dgamma, dbeta = batch_norm_backward(entry["z"], layer.bn, g,
+                                                   entry["stats"])
             grads[f"l{i}.gamma"] = dgamma
             grads[f"l{i}.beta"] = dbeta
-            g, dw, _ = conv2d_backward(entry["x"], layer.conv, g)
-        else:
-            g, dw, db = conv2d_backward(entry["x"], layer.conv, g)
+        g, dw, db = conv2d_backward(entry["x"], layer.conv, g, input_grad=i > 1)
+        if layer.bn is None:
             grads[f"l{i}.b"] = db
         grads[f"l{i}.w"] = dw
     return grads

@@ -9,8 +9,15 @@ object.  Arrays follow the caller's dtype; the network runs in float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+
+# Byte budget of one im2col patch matrix.  Convolutions run over batch
+# slices whose patches fit it, so the patches of a training batch stay near
+# cache size instead of spanning tens of megabytes.
+SLICE_BYTES = 1 << 20
 
 
 class ShapeError(ValueError):
@@ -129,42 +136,62 @@ def col2im(
     return x
 
 
+def _slice_step(x: np.ndarray, params: ConvParams) -> int:
+    """Images per batch slice: as many as keep the slice's im2col patch
+    matrix within SLICE_BYTES, and at least one."""
+    n, c, h, w = x.shape
+    k, s = params.kernel, params.stride
+    return max(1, SLICE_BYTES // max(1, c * k * k * (h // s) * (w // s) * x.itemsize))
+
+
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """Cross-correlate x with the conv weights via one im2col matrix product."""
+    """Cross-correlate x with the conv weights, one im2col matrix product
+    per batch slice, into one output array."""
     _check_conv_input(x, params)
-    n = x.shape[0]
-    out_h = x.shape[2] // params.stride
-    out_w = x.shape[3] // params.stride
-    cols = im2col(x, params.kernel, params.stride, params.padding)
+    n, _, h, w = x.shape
+    k, s, p = params.kernel, params.stride, params.padding
     w2 = params.weights.reshape(params.out_ch, -1)
-    out = np.matmul(w2, cols)
-    out += params.bias[:, None]
-    return out.reshape(n, params.out_ch, out_h, out_w)
+    out = np.empty((n, params.out_ch, (h // s) * (w // s)), np.result_type(w2, x))
+    bias = params.bias[:, None]
+    step = _slice_step(x, params)
+    for i in range(0, n, step):
+        o = out[i : i + step]
+        np.matmul(w2, im2col(x[i : i + step], k, s, p), out=o)
+        o += bias
+    return out.reshape(n, params.out_ch, h // s, w // s)
 
 
 def conv2d_backward(
-    x: np.ndarray, params: ConvParams, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x, weights, bias."""
+    x: np.ndarray, params: ConvParams, grad_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x, weights, bias,
+    batch slice by batch slice as in conv2d_forward.
+
+    The weight gradient sums the per-image products over the batch.  With
+    input_grad=False the input gradient is not computed and None takes its
+    place.
+    """
     _check_conv_input(x, params)
-    n = x.shape[0]
-    out_h = x.shape[2] // params.stride
-    out_w = x.shape[3] // params.stride
-    if grad_out.shape != (n, params.out_ch, out_h, out_w):
+    n, _, h, w = x.shape
+    k, s, p = params.kernel, params.stride, params.padding
+    if grad_out.shape != (n, params.out_ch, h // s, w // s):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match conv output "
-            f"{(n, params.out_ch, out_h, out_w)}"
+            f"{(n, params.out_ch, h // s, w // s)}"
         )
-    cols = im2col(x, params.kernel, params.stride, params.padding)
     g = grad_out.reshape(n, params.out_ch, -1)
     grad_bias = g.sum(axis=(0, 2))
-    grad_w2 = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-    grad_weights = grad_w2.reshape(params.weights.shape)
     w2 = params.weights.reshape(params.out_ch, -1)
-    grad_cols = np.matmul(w2.T, g)
-    grad_input = col2im(
-        grad_cols, x.shape, params.kernel, params.stride, params.padding
-    )
+    per_image = np.empty((n,) + w2.shape, np.result_type(g, x))
+    grad_input = np.empty(x.shape, np.result_type(w2, g)) if input_grad else None
+    step = _slice_step(x, params)
+    for i in range(0, n, step):
+        xs, gs = x[i : i + step], g[i : i + step]
+        cols = im2col(xs, k, s, p)
+        np.matmul(gs, cols.transpose(0, 2, 1), out=per_image[i : i + step])
+        if input_grad:
+            grad_input[i : i + step] = col2im(np.matmul(w2.T, gs), xs.shape, k, s, p)
+    grad_weights = per_image.sum(axis=0).reshape(params.weights.shape)
     return grad_input, grad_weights, grad_bias
 
 
@@ -194,9 +221,21 @@ def _check_bn_input(x: np.ndarray, params: BatchNormParams) -> None:
         )
 
 
-def batch_norm(x: np.ndarray, params: BatchNormParams, mode: str = "infer") -> np.ndarray:
-    """Normalize per channel; train mode uses batch stats and updates the
-    running estimates in place, infer mode uses the stored running stats."""
+class BatchStats(NamedTuple):
+    """Per-channel batch mean and 1/sqrt(var + eps) of a train-mode batch
+    norm, kept for its backward pass."""
+
+    mean: np.ndarray
+    ivar: np.ndarray
+
+
+def batch_norm(x: np.ndarray, params: BatchNormParams, mode: str = "infer"):
+    """Normalize per channel.
+
+    Infer mode uses the stored running statistics and returns the output.
+    Train mode uses the batch statistics, updates the running estimates in
+    place, and returns (output, BatchStats) for batch_norm_backward.
+    """
     _check_bn_input(x, params)
     if mode == "train":
         mu = x.mean(axis=(0, 2, 3))
@@ -211,18 +250,19 @@ def batch_norm(x: np.ndarray, params: BatchNormParams, mode: str = "infer") -> n
     ivar = 1.0 / np.sqrt(var + params.eps)
     scale = (params.gamma * ivar)[:, None, None]
     shift = (params.beta - params.gamma * mu * ivar)[:, None, None]
-    return x * scale + shift
+    out = x * scale
+    out += shift
+    return (out, BatchStats(mu, ivar)) if mode == "train" else out
 
 
 def batch_norm_backward(
-    x: np.ndarray, params: BatchNormParams, grad_out: np.ndarray
+    x: np.ndarray, params: BatchNormParams, grad_out: np.ndarray, stats: BatchStats
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of train-mode batch norm w.r.t. input, gamma, beta,
-    differentiating through the batch statistics."""
+    differentiating through the batch statistics that the forward pass
+    returned in stats."""
     _check_bn_input(x, params)
-    mu = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
-    ivar = 1.0 / np.sqrt(var + params.eps)
+    mu, ivar = stats
     xhat = (x - mu[:, None, None]) * ivar[:, None, None]
     grad_beta = grad_out.sum(axis=(0, 2, 3))
     grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))

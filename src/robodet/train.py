@@ -73,9 +73,9 @@ class TrainConfig:
             raise ValueError(f"finetune_epochs must be non-negative, got {self.finetune_epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.transfer_lr_factor > 0:
+        if not (math.isfinite(self.transfer_lr_factor) and self.transfer_lr_factor > 0):
             raise ValueError(
-                f"transfer_lr_factor must be positive, got {self.transfer_lr_factor}"
+                f"transfer_lr_factor must be finite and positive, got {self.transfer_lr_factor}"
             )
 
 

@@ -1,0 +1,242 @@
+"""The training step's gradients against a frozen copy of the whole-batch
+backward pass.
+
+The frozen functions below are the conv and batch-norm backward passes as
+they were before convolutions ran in batch slices: one im2col matrix for
+the whole batch, the input gradient of every layer (layer 1's included,
+then discarded), and batch statistics recomputed from the cached input.
+Slicing must leave every gradient bit for bit unchanged.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import robodet.model
+import robodet.tensor
+from robodet.model import (
+    HEAD_HI,
+    HEAD_LO,
+    build_robo,
+    build_robo_bn,
+    build_robo_hr,
+    forward_with_cache,
+    init_network,
+)
+from robodet.tensor import ConvParams, conv2d_backward, im2col, leaky_relu_backward
+
+
+def frozen_col2im(cols, x_shape, kernel, stride, padding):
+    n, c, h, w = x_shape
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+    cols = cols.reshape(n, c, kernel, kernel, out_h, out_w)
+    x = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            x[
+                :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
+            ] += cols[:, :, i, j]
+    if padding:
+        x = x[:, :, padding : padding + h, padding : padding + w]
+    return x
+
+
+def frozen_conv2d_backward(x, params, grad_out):
+    n = x.shape[0]
+    cols = im2col(x, params.kernel, params.stride, params.padding)
+    g = grad_out.reshape(n, params.out_ch, -1)
+    grad_bias = g.sum(axis=(0, 2))
+    grad_w2 = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+    grad_weights = grad_w2.reshape(params.weights.shape)
+    w2 = params.weights.reshape(params.out_ch, -1)
+    grad_cols = np.matmul(w2.T, g)
+    grad_input = frozen_col2im(
+        grad_cols, x.shape, params.kernel, params.stride, params.padding
+    )
+    return grad_input, grad_weights, grad_bias
+
+
+def frozen_batch_norm_backward(x, params, grad_out):
+    mu = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    ivar = 1.0 / np.sqrt(var + params.eps)
+    xhat = (x - mu[:, None, None]) * ivar[:, None, None]
+    grad_beta = grad_out.sum(axis=(0, 2, 3))
+    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    gscale = (params.gamma * ivar)[:, None, None]
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    grad_x = (gscale / count) * (
+        count * grad_out
+        - grad_beta[:, None, None]
+        - xhat * grad_gamma[:, None, None]
+    )
+    return grad_x, grad_gamma, grad_beta
+
+
+def frozen_backward(net, cache, grad_lo, grad_hi):
+    grads = {}
+    tap_grads = {}
+    for name, g in ((HEAD_LO, grad_lo), (HEAD_HI, grad_hi)):
+        layer = net.heads[name]
+        gx, gw, gb = frozen_conv2d_backward(cache["taps"][name], layer.conv, g)
+        grads[f"{name}.w"] = gw
+        grads[f"{name}.b"] = gb
+        tap_grads[name] = gx
+    g = None
+    for i in range(len(net.layers), 0, -1):
+        layer = net.layers[i - 1]
+        entry = cache["layers"][i - 1]
+        if layer.spec.tap:
+            tg = tap_grads[layer.spec.tap]
+            g = tg if g is None else g + tg
+        if layer.spec.activation == "leaky":
+            g = leaky_relu_backward(entry["zn"], g)
+        if layer.bn is not None:
+            g, dgamma, dbeta = frozen_batch_norm_backward(entry["z"], layer.bn, g)
+            grads[f"l{i}.gamma"] = dgamma
+            grads[f"l{i}.beta"] = dbeta
+            g, dw, _ = frozen_conv2d_backward(entry["x"], layer.conv, g)
+        else:
+            g, dw, db = frozen_conv2d_backward(entry["x"], layer.conv, g)
+            grads[f"l{i}.b"] = db
+        grads[f"l{i}.w"] = dw
+    return grads
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def patch_bytes(x, conv):
+    """Bytes of one image's im2col patch matrix for conv on input x."""
+    n, c, h, w = x.shape
+    return c * conv.kernel**2 * (h // conv.stride) * (w // conv.stride) * x.itemsize
+
+
+def train_step(spec, batch, seed=0):
+    """(net, cache, grad_lo, grad_hi) of one train-mode forward on random
+    images, with random head gradients."""
+    net = init_network(spec, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.random((batch, 3) + spec.input_hw, dtype=np.float32)
+    (lo, hi), cache = forward_with_cache(net, x)
+    grad_lo = rng.normal(0, 1, lo.shape).astype(np.float32)
+    grad_hi = rng.normal(0, 1, hi.shape).astype(np.float32)
+    return net, cache, grad_lo, grad_hi
+
+
+SPECS = {"robo": build_robo(1), "robo_bn": build_robo_bn(1), "robo_hr": build_robo_hr(1)}
+
+
+@pytest.mark.parametrize("batch, budget", [
+    (1, "default"), (3, "default"), (3, "uneven"), (16, "default"), (16, "uneven"),
+])
+@pytest.mark.parametrize("model", sorted(SPECS))
+def test_gradients_match_whole_batch_oracle(monkeypatch, model, batch, budget):
+    spec = SPECS[model]
+    if budget == "uneven":
+        # Room for two images of layer 1's patches per slice: slices of 2
+        # then 1 at batch 3, and uneven slices on later layers at batch 16.
+        x = np.zeros((1, 3) + spec.input_hw, np.float32)
+        first = init_network(spec).layers[0].conv
+        monkeypatch.setattr(robodet.tensor, "SLICE_BYTES", 2 * patch_bytes(x, first))
+    net, cache, grad_lo, grad_hi = train_step(spec, batch)
+    got = robodet.model.backward(net, cache, grad_lo, grad_hi)
+    want = frozen_backward(net, cache, grad_lo, grad_hi)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert_bitwise_equal(got[name], want[name])
+
+
+def test_uneven_budget_gives_uneven_slices(monkeypatch):
+    spec = SPECS["robo"]
+    x = np.zeros((3, 3) + spec.input_hw, np.float32)
+    conv = init_network(spec).layers[0].conv
+    monkeypatch.setattr(robodet.tensor, "SLICE_BYTES", 2 * patch_bytes(x, conv))
+    assert robodet.tensor._slice_step(x, conv) == 2
+
+
+@pytest.mark.parametrize("budget", [None, 1, 3 << 20])
+def test_sliced_forward_equals_whole_batch_matmul(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(robodet.tensor, "SLICE_BYTES", budget)
+    net, cache, _, _ = train_step(SPECS["robo"], 16)
+    convs = [(layer.conv, entry["x"], entry["z"])
+             for layer, entry in zip(net.layers, cache["layers"])]
+    convs += [(net.heads[name].conv, cache["taps"][name], None) for name in (HEAD_LO, HEAD_HI)]
+    for conv, x, z in convs:
+        n, _, h, w = x.shape
+        cols = im2col(x, conv.kernel, conv.stride, conv.padding)
+        want = np.matmul(conv.weights.reshape(conv.out_ch, -1), cols)
+        want += conv.bias[:, None]
+        want = want.reshape(n, conv.out_ch, h // conv.stride, w // conv.stride)
+        assert_bitwise_equal(robodet.tensor.conv2d_forward(x, conv), want)
+        if z is not None:
+            assert_bitwise_equal(z, want)
+
+
+def test_layer1_input_gradient_is_never_computed(monkeypatch):
+    net, cache, grad_lo, grad_hi = train_step(SPECS["robo"], 3)
+    image_shape = (3,) + net.spec.input_hw
+    scattered = []
+    col2im = robodet.tensor.col2im
+
+    def spy_col2im(cols, x_shape, *args):
+        scattered.append(tuple(x_shape[1:]))
+        return col2im(cols, x_shape, *args)
+
+    asked = {}
+    backward = robodet.model.conv2d_backward
+
+    def spy_backward(x, params, grad_out, **kwargs):
+        out = backward(x, params, grad_out, **kwargs)
+        asked[id(params)] = out[0] is not None
+        return out
+
+    monkeypatch.setattr(robodet.tensor, "col2im", spy_col2im)
+    monkeypatch.setattr(robodet.model, "conv2d_backward", spy_backward)
+    robodet.model.backward(net, cache, grad_lo, grad_hi)
+    assert scattered and image_shape not in scattered
+    names = {id(layer.conv): name for name, layer in net.all_layers()}
+    assert {names[k]: v for k, v in asked.items()} == {
+        name: name != "l1" for name in names.values()
+    }
+
+
+def test_input_grad_false_keeps_weight_and_bias_gradients(rng):
+    conv = ConvParams(3, 2, 3, 4, rng.normal(0, 1, (4, 3, 3, 3)), rng.normal(0, 1, 4))
+    x = rng.normal(0, 1, (5, 3, 8, 8))
+    g = rng.normal(0, 1, (5, 4, 4, 4))
+    gx, gw, gb = conv2d_backward(x, conv, g, input_grad=False)
+    assert gx is None
+    want = frozen_conv2d_backward(x, conv, g)
+    assert_bitwise_equal(conv2d_backward(x, conv, g)[0], want[0])
+    assert_bitwise_equal(gw, want[1])
+    assert_bitwise_equal(gb, want[2])
+
+
+# Peak tracemalloc bytes of one robo k=1, batch-16 backward above its 26.0 MB
+# forward cache.  Measured: 15.3 MB; the whole-batch backward, which also
+# computed layer 1's input gradient, peaked at 58.0 MB.  The bound leaves a
+# 30% margin over the measured peak.
+BACKWARD_PEAK_BOUND = 20_000_000
+
+
+def test_backward_memory_stays_within_bound():
+    net = init_network(SPECS["robo"])
+    rng = np.random.default_rng(0)
+    x = rng.random((16, 3) + net.spec.input_hw, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        (lo, hi), cache = forward_with_cache(net, x)
+        grad_lo, grad_hi = np.ones_like(lo), np.ones_like(hi)
+        cached, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        robodet.model.backward(net, cache, grad_lo, grad_hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - cached <= BACKWARD_PEAK_BOUND

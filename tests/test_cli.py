@@ -316,6 +316,36 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "transfer", "prune", "eval"])
+    def test_mixed_image_sizes_are_validation_error(self, weights_file, tmp_path, capsys,
+                                                    monkeypatch, command):
+        data = tmp_path / "mixed"
+        generate_toy_dataset(4, "A", seed=2, out_dir=data)
+        write_ppm(data / "img_00002.ppm", np.zeros((96, 128, 3), dtype=np.uint8))
+
+        def no_read(path):
+            raise AssertionError(f"sample {path} read before the size check")
+
+        monkeypatch.setattr(cli.data_mod, "read_ppm", no_read)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--data", str(data), "--out", str(out)],
+            "transfer": ["transfer", "--weights", str(weights_file), "--data", str(data),
+                         "--transfer-layers", "4", "--out", str(out)],
+            "prune": ["prune", "--weights", str(weights_file), "--finetune",
+                      "--data", str(data), "--out", str(out)],
+            "eval": ["eval", "--data", str(data), "--weights", str(weights_file),
+                     "--out", str(out)],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: {data / 'img_00002.ppm'}: image size 128x96 "
+                                f"differs from 256x192 of {data / 'img_00000.ppm'}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 def test_cli_docs_name_the_registered_commands():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -1,11 +1,15 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import robodet.data
 from robodet.data import (
     Annotation,
+    ImageSizeError,
     filter_min_size,
     generate_toy_dataset,
     load_all_samples,
@@ -55,15 +59,33 @@ class TestPpm:
     def test_malformed_names_file(self, tmp_path, raw, reason):
         path = tmp_path / "bad.ppm"
         path.write_bytes(raw)
-        with pytest.raises(ValueError) as info:
-            read_ppm(path)
-        assert str(info.value).startswith(f"{path}: ")
-        assert reason in str(info.value)
+        for reader in (read_ppm, ppm_size):
+            with pytest.raises(ValueError) as info:
+                reader(path)
+            assert str(info.value).startswith(f"{path}: ")
+            assert reason in str(info.value)
 
     def test_size_skips_multi_word_comment(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# two words\n3 2\n255\n" + bytes(18))
         assert ppm_size(path) == (3, 2)
+
+    def test_size_reads_only_the_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.ppm"
+        write_ppm(path, np.zeros((96, 128, 3), dtype=np.uint8))
+        read_upto = []
+
+        class Unbuffered(io.FileIO):
+            """A file read byte by byte from the OS, noting where it stopped."""
+
+            def close(self):
+                if not self.closed:
+                    read_upto.append(self.tell())
+                super().close()
+
+        monkeypatch.setattr(robodet.data, "open", Unbuffered, raising=False)
+        assert ppm_size(path) == (128, 96)
+        assert read_upto == [len(b"P6\n128 96\n255\n")]
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -132,6 +154,47 @@ class TestAnnotations:
             assert a.class_id == b.class_id
             for f in ("cx", "cy", "w", "h"):
                 assert getattr(a.box, f) == pytest.approx(getattr(b.box, f), abs=1e-6)
+
+
+    def test_not_utf8_names_file(self, tmp_path):
+        p = tmp_path / "a.txt"
+        p.write_bytes(b"0 0.5 0.5 0.1 0.1\n\xff\n")
+        with pytest.raises(ValueError) as info:
+            load_annotations(p)
+        assert not isinstance(info.value, UnicodeDecodeError)
+        assert str(info.value).startswith(f"{p}: not UTF-8 text")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_raises_only_value_error_naming_file(self, fuzz_dir, data):
+        valid = b"0 0.5 0.5 0.1 0.2\n3 0.25 0.75 0.05 0.4\n"
+        raw = data.draw(st.one_of(
+            st.binary(max_size=64),
+            st.text(max_size=64).map(str.encode),
+            token_lines(["0", "3", "4", "-1", "0.5", "1", "0", "1e-9", "nan", "inf",
+                         "x", "0x1"]),
+            st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+            st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
+                     min_size=1, max_size=4).map(lambda flips: flip_bytes(valid, flips)),
+        ))
+        path = fuzz_dir / "a.txt"
+        path.write_bytes(raw)
+        try:
+            annotations = load_annotations(path)
+        except ValueError as exc:
+            assert not isinstance(exc, UnicodeDecodeError)
+            assert str(exc).startswith(f"{path}:")
+        else:
+            for a in annotations:
+                assert 0 <= a.class_id < 4
+                assert 0 <= a.box.cx <= 1 and 0 <= a.box.cy <= 1
+                assert 0 < a.box.w <= 1 and 0 < a.box.h <= 1
+
+
+def token_lines(tokens):
+    """UTF-8 lines of up to six space-separated tokens drawn from tokens."""
+    line = st.lists(st.sampled_from(tokens), max_size=6).map(" ".join)
+    return st.lists(line, max_size=4).map(lambda lines: "\n".join(lines).encode())
 
 
 def rgb_to_yuv_reference(image):
@@ -269,8 +332,68 @@ class TestToyGenerator:
         assert len(samples) == 3
         assert samples[0][0].shape == (192, 256, 3)
 
+    def test_mixed_image_sizes_raise_naming_image_and_sizes(self, tmp_path):
+        generate_toy_dataset(4, "A", seed=1, out_dir=tmp_path)
+        write_ppm(tmp_path / "img_00002.ppm", np.zeros((96, 128, 3), dtype=np.uint8))
+        with pytest.raises(ImageSizeError) as info:
+            load_index(tmp_path)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == (
+            f"{tmp_path / 'img_00002.ppm'}: image size 128x96 differs from 256x192 "
+            f"of {tmp_path / 'img_00000.ppm'}"
+        )
+
+    @pytest.mark.parametrize("name", ["missing.ppm", "sub", "."])
+    def test_missing_image_names_index_line(self, tmp_path, name):
+        generate_toy_dataset(2, "A", seed=1, out_dir=tmp_path)
+        (tmp_path / "sub").mkdir()
+        with open(tmp_path / "index.txt", "a") as f:
+            f.write(f"\n{name} img_00000.txt\n")
+        with pytest.raises(FileNotFoundError) as info:
+            load_index(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'index.txt'}:4: no image file {name!r}"
+
     def test_bad_args(self, tmp_path):
         with pytest.raises(ValueError, match="n_images"):
             generate_toy_dataset(0, "A", 0, tmp_path)
         with pytest.raises(ValueError, match="style"):
             generate_toy_dataset(1, "Z", 0, tmp_path)
+
+
+@pytest.fixture(scope="module")
+def index_dir(tmp_path_factory):
+    """A dataset directory with images of two sizes, a bad image, an
+    annotation file and a subdirectory, for index.txt files to point at."""
+    root = tmp_path_factory.mktemp("index_fuzz")
+    write_ppm(root / "a.ppm", np.zeros((3, 4, 3), dtype=np.uint8))
+    write_ppm(root / "b.ppm", np.ones((3, 4, 3), dtype=np.uint8))
+    write_ppm(root / "small.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
+    (root / "bad.ppm").write_bytes(b"P6\n4 3\n255\n")
+    (root / "a.txt").write_text("0 0.5 0.5 0.1 0.1\n")
+    (root / "sub").mkdir()
+    return root
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_load_index_fuzz_raises_only_documented_errors(index_dir, data):
+    valid = b"# pairs\na.ppm a.txt\nb.ppm a.txt\n"
+    names = ["a.ppm", "b.ppm", "small.ppm", "bad.ppm", "a.txt", "sub", ".", "..",
+             "missing.ppm", "#", ""]
+    raw = data.draw(st.one_of(
+        st.binary(max_size=64),
+        st.text(max_size=64).map(str.encode),
+        token_lines(names),
+        st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+        st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
+                 min_size=1, max_size=4).map(lambda flips: flip_bytes(valid, flips)),
+    ))
+    (index_dir / "index.txt").write_bytes(raw)
+    try:
+        index = load_index(index_dir)
+    except (ValueError, FileNotFoundError) as exc:
+        assert not isinstance(exc, UnicodeDecodeError)
+        assert str(index_dir) in str(exc)
+    else:
+        assert len(index) >= 1
+        assert {ppm_size(index_dir / img) for img, _ in index.entries} == {index.image_size}

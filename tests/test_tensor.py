@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,7 +225,7 @@ class TestBatchNorm:
         x -= x.mean(axis=(0, 2, 3), keepdims=True)
         x /= x.std(axis=(0, 2, 3), keepdims=True)
         p = BatchNormParams.identity(3, dtype=np.float64)
-        out = batch_norm(x, p, "train")
+        out, _ = batch_norm(x, p, "train")
         assert np.abs(out - x).max() < 1e-4  # only the eps effect remains
 
     def test_zero_gamma_gives_beta(self, rng):
@@ -231,7 +233,7 @@ class TestBatchNorm:
         p = BatchNormParams.identity(3, dtype=np.float64)
         p.gamma[:] = 0.0
         p.beta[:] = np.array([1.0, 2.0, 3.0])
-        out = batch_norm(x, p, "train")
+        out, _ = batch_norm(x, p, "train")
         for c in range(3):
             np.testing.assert_allclose(out[:, c], p.beta[c])
 
@@ -260,7 +262,8 @@ class TestBatchNorm:
         p.mean[:] = rng.normal(0, 1, 2)
         p.var[:] = rng.uniform(0.5, 2.0, 2)
         g = rng.normal(0, 1, x.shape)
-        gx, ggamma, gbeta = batch_norm_backward(x, p, g)
+        _, stats = batch_norm(x, copy.deepcopy(p), mode)
+        gx, ggamma, gbeta = batch_norm_backward(x, p, g, stats)
 
         def run(v, gamma=None, beta=None):
             q = BatchNormParams(
@@ -268,7 +271,7 @@ class TestBatchNorm:
                 beta if beta is not None else p.beta.copy(),
                 p.mean.copy(), p.var.copy(), p.momentum, p.eps,
             )
-            return (batch_norm(v, q, mode) * g).sum()
+            return (batch_norm(v, q, mode)[0] * g).sum()
 
         assert grad_error(gx, finite_difference(run, x)) < 1e-3
         assert grad_error(

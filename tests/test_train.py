@@ -666,6 +666,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("batch", 0), ("batch", -3), ("finetune_epochs", -1),
         ("transfer_lr_factor", 0.0), ("transfer_lr_factor", -10.0),
+        ("transfer_lr_factor", float("inf")), ("transfer_lr_factor", float("nan")),
         ("lr_max", float("nan")), ("lr_max", float("inf")), ("lr_max", 0.0), ("lr_max", -1.0),
         ("lr_min", float("nan")), ("lr_min", -1e-4),
         ("finetune_lr", float("nan")), ("finetune_lr", 0.0), ("finetune_lr", float("-inf")),
@@ -676,6 +677,28 @@ class TestConfigFile:
             TrainConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
             parse_config(f"{field}={value}\n")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_raises_only_value_error(self, data):
+        keys = [f.name for f in fields(TrainConfig)] + list(train_mod._LOSS_KEYS)
+        values = ["0", "1", "-1", "3", "0.5", "1e-3", "1e400", "nan", "-inf", "None",
+                  "x", "", "1_0", "0x10"]
+        line = st.tuples(st.sampled_from(keys + ["", "epochs ", "bogus"]),
+                         st.sampled_from(["=", "==", " = ", ":"]),
+                         st.sampled_from(values)).map("".join)
+        valid = "epochs=3\nbatch=2\nlr_max=0.01\nlambda_l1=0.001\n"
+        text = data.draw(st.one_of(
+            st.text(max_size=64),
+            st.lists(line, max_size=6).map("\n".join),
+            st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+        ))
+        try:
+            cfg, lw = parse_config(text)
+        except ValueError:
+            pass
+        else:
+            assert isinstance(cfg, TrainConfig) and isinstance(lw, LossWeights)
 
     def test_accepts_boundaries(self):
         cfg = TrainConfig(epochs=1, batch=1, finetune_epochs=0, transfer_lr_factor=0.5,
