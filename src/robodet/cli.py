@@ -428,7 +428,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, model_mod.WeightFormatError) as exc:
+    except (ValueError, OSError, model_mod.WeightFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -182,14 +182,23 @@ def filter_min_size(annotations, min_wh: float = DEFAULT_MIN_WH):
 # ---------------------------------------------------------------------------
 # Color conversion (BT.601 full range, the JFIF YCbCr matrix).
 
+# Rows give Y, U and V from RGB; U and V are centred at 0 here and at 0.5 in
+# rgb_to_yuv.  Python floats, so that they scale float32 planes in float32.
+BT601 = (
+    (0.299, 0.587, 0.114),
+    (-0.168736, -0.331264, 0.5),
+    (0.5, -0.418688, -0.081312),
+)
+
 
 def rgb_to_yuv(image: np.ndarray) -> np.ndarray:
     """8-bit (h, w, 3) RGB -> float32 (3, h, w) YUV with channels in [0, 1];
     chroma is centered at 0.5."""
     r, g, b = np.ascontiguousarray(image.transpose(2, 0, 1), dtype=np.float32) / 255.0
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    u = 0.5 - 0.168736 * r - 0.331264 * g + 0.5 * b
-    v = 0.5 + 0.5 * r - 0.418688 * g - 0.081312 * b
+    (yr, yg, yb), (ur, ug, ub), (vr, vg, vb) = BT601
+    y = yr * r + yg * g + yb * b
+    u = 0.5 + ur * r + ug * g + ub * b
+    v = 0.5 + vr * r + vg * g + vb * b
     return np.stack([y, u, v])
 
 

@@ -239,7 +239,8 @@ def batch_norm(x: np.ndarray, params: BatchNormParams, mode: str = "infer"):
     _check_bn_input(x, params)
     if mode == "train":
         mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        # numpy's own x.var sequence, reusing the mean instead of taking it again.
+        var = ((x - mu[:, None, None]) ** 2).mean(axis=(0, 2, 3))
         m = params.momentum
         params.mean += (m * (mu - params.mean)).astype(params.mean.dtype)
         params.var += (m * (var - params.var)).astype(params.var.dtype)

@@ -243,63 +243,6 @@ def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net: Network, lw: Lo
 # Augmentation.
 
 
-# Row k names, for HSV sector k, which of (v, q, p, t) becomes (r, g, b).
-# Row 6 repeats row 0: a hue that wraps to exactly 1.0 lands in sector 6,
-# which the textbook conversion folds back with `% 6`.
-_HSV_SECTORS = np.array(
-    [[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1], [0, 3, 2]]
-)
-
-
-def _frac(x):
-    """`x % 1.0` for finite floats, bit for bit, at a fraction of numpy's
-    float remainder cost."""
-    return x - np.floor(x)
-
-
-def _jitter_hsv(planes, saturation, hue_shift):
-    """Scale saturation and rotate hue of (3, h, w) float32 RGB planes in
-    [0, 1]; returns new planes.
-
-    A fused RGB -> HSV -> RGB round trip: every float32 operation of the
-    textbook conversion runs in the same order, so results match it bit for
-    bit, but each output channel is gathered from (v, q, p, t) by sector in
-    one `take` instead of six masked scatters.
-    """
-    n = planes[0].size
-    r, g, b = planes.reshape(3, n)
-    maxc = np.maximum(np.maximum(r, g), b)
-    minc = np.minimum(np.minimum(r, g), b)
-    spread = maxc - minc
-    sat = np.where(maxc > 0, spread / np.maximum(maxc, 1e-12), 0.0)
-    safe = np.maximum(spread, 1e-12)
-    rc = (maxc - r) / safe
-    gc = (maxc - g) / safe
-    bc = (maxc - b) / safe
-    hue = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc, 4.0 + gc - rc))
-    hue = np.where(spread > 0, _frac(hue / 6.0), 0.0)
-    hue = _frac(hue + hue_shift)
-    s = np.clip(sat * saturation, 0.0, 1.0)
-
-    h6 = hue * 6.0
-    i = np.floor(h6)
-    f = h6 - i
-    vqpt = np.empty((4, n), dtype=planes.dtype)
-    vqpt[0] = maxc
-    np.multiply(maxc, 1.0 - s * f, out=vqpt[1])
-    np.multiply(maxc, 1.0 - s, out=vqpt[2])
-    np.multiply(maxc, 1.0 - s * (1.0 - f), out=vqpt[3])
-    sector = i.astype(np.intp)
-    offsets = _HSV_SECTORS * n
-    pixel = np.arange(n)
-    out = np.empty((3, n), dtype=planes.dtype)
-    for c in range(3):
-        flat_index = offsets[:, c].take(sector)
-        flat_index += pixel
-        out[c] = vqpt.take(flat_index)
-    return out.reshape(planes.shape)
-
-
 def hflip(image, boxes):
     """Mirror the image and box centers; applying it twice is the identity."""
     flipped = image[:, ::-1].copy()
@@ -310,40 +253,40 @@ def hflip(image, boxes):
     return flipped, out
 
 
+def colour_matrix(brightness, contrast, saturation, hue_deg):
+    """The 3x3 RGB matrix of brightness and contrast scales, a saturation
+    scale and a hue rotation by hue_deg degrees in the BT.601 chroma plane
+    (the hueRotate of SVG's feColorMatrix).  Saturation and hue keep luma,
+    and grey maps to grey scaled by brightness * contrast."""
+    a = np.array(data_mod.BT601)
+    t = np.radians(hue_deg)
+    chroma = np.zeros((3, 3))
+    rotation = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    chroma[1:, 1:] = saturation * rotation - np.eye(2)
+    return contrast * brightness * (np.eye(3) + np.linalg.solve(a, chroma @ a))
+
+
 def augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
     """Random horizontal flip plus brightness/contrast/saturation/hue jitter.
 
     Operates on 8-bit RGB before any YUV conversion; box sizes are untouched
-    by the photometric ops.  The ops run in a fixed order on float32: flip,
-    then brightness, then contrast about the image mean, then clip to [0, 1],
-    then HSV saturation scale and hue rotation, then round back to 8 bits.
-    The oracle test in tests/test_train.py pins this order byte for byte.
+    by the photometric ops.  After the flip, the four colour ops are one
+    affine map in 0-255 units: `colour_matrix` plus, on every channel, the
+    offset that makes the contrast scale about the image mean.  The result
+    is clipped and rounded once, back to 8 bits.
     """
     if rng.random() < flip_prob:
         image, boxes = hflip(image, boxes)
     brightness = rng.uniform(1 - jitter, 1 + jitter)
     contrast = rng.uniform(1 - jitter, 1 + jitter)
     saturation = rng.uniform(1 - jitter, 1 + jitter)
-    hue_shift = rng.uniform(-hue_max_deg, hue_max_deg) / 360.0
-    img = image.astype(np.float32)
-    img /= 255.0
-    img *= brightness
-    # The mean is taken on the interleaved (h, w, 3) array: its summation
-    # order, and so its rounding, depends on the layout.
-    mean = img.mean()
-    planes = np.empty((3,) + img.shape[:2], dtype=np.float32)
-    np.subtract(img.transpose(2, 0, 1), mean, out=planes)
-    planes *= contrast
-    planes += mean
-    np.clip(planes, 0.0, 1.0, out=planes)
-    if saturation != 1.0 or hue_shift != 0.0:
-        planes = _jitter_hsv(planes, saturation, hue_shift)
-    # Rounding one plane at a time into the interleaved result is several
-    # times cheaper than transposing a (3, h, w) array back.
-    out = np.empty(image.shape, dtype=np.uint8)
-    for c in range(3):
-        out[..., c] = np.clip(np.round(planes[c] * 255.0), 0, 255)
-    return out, boxes
+    hue_deg = rng.uniform(-hue_max_deg, hue_max_deg)
+    matrix = colour_matrix(brightness, contrast, saturation, hue_deg)
+    offset = (1 - contrast) * brightness * image.mean()
+    out = image.astype(np.float32) @ matrix.T.astype(np.float32)
+    out += np.float32(offset)
+    np.clip(out, 0, 255, out=out)
+    return np.rint(out, out=out).astype(np.uint8), boxes
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,23 @@ class TestExitCodes:
                      "--images", "/nonexistent.ppm"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["detect", "ops", "images", "train"])
+    def test_directory_path_is_runtime_error(self, toy_dir, weights_file, tmp_path, capsys,
+                                             command):
+        argv = {
+            "detect": ["detect", "--weights", str(tmp_path), "--images",
+                       str(toy_dir / "img_00000.ppm")],
+            "ops": ["ops", "--weights", str(tmp_path)],
+            "images": ["detect", "--weights", str(weights_file), "--images", str(tmp_path)],
+            "train": ["train", "--data", str(toy_dir), "--out", str(tmp_path),
+                      "--epochs", "1"],
+        }[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_unknown_flag_rejected(self):
         assert main(["ops", "--frobnicate"]) == 1
 

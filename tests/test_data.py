@@ -222,6 +222,14 @@ class TestYuv:
         assert got.flags.c_contiguous
         assert got.tobytes() == rgb_to_yuv_reference(image).tobytes()
 
+    def test_every_colour_matches_oracle(self):
+        # All 2**24 colours, one blue level per 256x256 slab of (red, green).
+        red, green = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        slab = np.stack([red, green, np.zeros_like(red)], axis=-1).astype(np.uint8)
+        for blue in range(256):
+            slab[..., 2] = blue
+            assert rgb_to_yuv(slab).tobytes() == rgb_to_yuv_reference(slab).tobytes(), blue
+
     def test_mid_gray(self):
         img = np.full((1, 1, 3), 128, dtype=np.uint8)
         yuv = rgb_to_yuv(img)

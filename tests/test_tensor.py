@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robodet.model import build_robo
 from robodet.tensor import (
     BatchNormParams,
     ConvParams,
@@ -280,6 +281,23 @@ class TestBatchNorm:
         assert grad_error(
             gbeta, finite_difference(lambda v: run(x, beta=v), p.beta)
         ) < 1e-3
+
+    @pytest.mark.parametrize("layer", build_robo(1).layers, ids=lambda ls: f"l{ls.index}")
+    def test_train_statistics_equal_numpy_var_bitwise(self, rng, layer):
+        # Batch 16 at robo k=1: the shapes every training step normalizes.
+        h, w = build_robo(1).input_hw
+        for ls in build_robo(1).layers[: layer.index]:
+            h, w = h // ls.stride, w // ls.stride
+        shape = (16, layer.out_ch, h, w)
+        x = (rng.normal(0, 1, shape) * rng.uniform(0.1, 3, shape[1])[:, None, None]
+             + rng.normal(0, 2, shape[1])[:, None, None]).astype(np.float32)
+        p = BatchNormParams.identity(layer.out_ch)
+        _, stats = batch_norm(x, p, "train")
+        var = x.var(axis=(0, 2, 3))
+        want = BatchNormParams.identity(layer.out_ch)
+        want.var += (want.momentum * (var - want.var)).astype(np.float32)
+        assert p.var.tobytes() == want.var.tobytes()
+        assert stats.ivar.tobytes() == (1.0 / np.sqrt(var + p.eps)).tobytes()
 
     def test_channel_mismatch_raises(self):
         p = BatchNormParams.identity(3)
