@@ -9,6 +9,8 @@ randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -163,6 +165,16 @@ def _load_index(path, spec: model_mod.ModelSpec):
     return index
 
 
+def _check_out(path) -> None:
+    """Fail (exit 2) before any work when the output weight file cannot be
+    created: path is a directory or its parent directory does not exist."""
+    out = Path(path)
+    if out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not out.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "parent directory does not exist", path)
+
+
 def _resolve_anchors(args, index) -> np.ndarray:
     if getattr(args, "anchors", None):
         try:
@@ -212,6 +224,7 @@ def cmd_anchors(args) -> int:
 def cmd_train(args) -> int:
     cfg, lw = _train_config(args)
     spec = _build_spec(args.model, args.k)
+    _check_out(args.out)
     index = _load_index(args.data, spec)
     val_index = _load_index(args.val, spec)
     net = model_mod.init_network(spec, cfg.seed)
@@ -228,6 +241,7 @@ def cmd_transfer(args) -> int:
     cfg, lw = _train_config(args)
     if cfg.transfer_layers is None:
         raise CliError("--transfer-layers is required (0 = all layers at reduced rate)")
+    _check_out(args.out)
     net = model_mod.load_weights(args.weights)
     try:
         train_mod.check_transfer_layers(net, cfg.transfer_layers)
@@ -248,6 +262,7 @@ def cmd_prune(args) -> int:
     if args.finetune and not args.data:
         raise CliError("--finetune requires --data")
     cfg, lw = _train_config(args)
+    _check_out(args.out)
     net = model_mod.load_weights(args.weights)
     if args.finetune:
         index = _load_index(args.data, net.spec)

@@ -12,7 +12,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .model import CLASS_NAMES, HeadSpec
 from .tensor import ShapeError
@@ -104,6 +103,16 @@ def compute_anchors(annotations) -> np.ndarray:
     return (sums / counts[:, None]).astype(np.float32)
 
 
+def sigmoid(x):
+    """Logistic function 1 / (1 + exp(-x)) in the dtype of x.
+
+    exp(-x) overflows to inf for very negative x, which gives exactly 0;
+    that overflow is expected and not warned about.
+    """
+    with np.errstate(over="ignore"):
+        return 1 / (1 + np.exp(-x))
+
+
 def decode(raw: np.ndarray, head: HeadSpec, anchors: np.ndarray, grid) -> Detections:
     """Turn one head's raw tensor into a candidate per (cell, owned class),
     ordered slot by slot, then row by row, then column by column.
@@ -120,10 +129,10 @@ def decode(raw: np.ndarray, head: HeadSpec, anchors: np.ndarray, grid) -> Detect
         )
     owned = list(head.classes_owned)
     t = raw[0].astype(np.float64).reshape(len(owned), 5, gh, gw)
-    cx = (np.arange(gw) + expit(t[:, 0])) / gw
-    cy = (np.arange(gh)[:, None] + expit(t[:, 1])) / gh
+    cx = (np.arange(gw) + sigmoid(t[:, 0])) / gw
+    cy = (np.arange(gh)[:, None] + sigmoid(t[:, 1])) / gh
     wh = anchors[owned][:, :, None, None] * np.exp(t[:, 2:4])
-    conf = expit(t[:, 4])
+    conf = sigmoid(t[:, 4])
     return Detections(
         np.repeat(np.array(owned, dtype=np.int64), gh * gw),
         conf.ravel(), cx.ravel(), cy.ravel(), wh[:, 0].ravel(), wh[:, 1].ravel(),

@@ -83,7 +83,6 @@ class ModelSpec:
     input_hw: tuple[int, int]  # (height, width)
     layers: tuple[LayerSpec, ...]
     heads: tuple[HeadSpec, HeadSpec]
-    classes: tuple[str, ...] = CLASS_NAMES
 
     @property
     def total_stride(self) -> int:
@@ -410,11 +409,6 @@ def trainable_params(net: Network) -> dict[str, np.ndarray]:
         else:
             params[f"{name}.b"] = layer.conv.bias
     return params
-
-
-def weight_masks(net: Network) -> dict[str, np.ndarray]:
-    """Prune masks keyed like the weight entries of trainable_params()."""
-    return {f"{name}.w": layer.mask for name, layer in net.all_layers()}
 
 
 # ---------------------------------------------------------------------------

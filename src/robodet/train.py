@@ -11,18 +11,17 @@ import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import data as data_mod
-from .detect import BBox, encode
+from .detect import BBox, encode, sigmoid
 from .model import (
+    CLASS_NAMES,
     HEAD_HI,
     HEAD_LO,
     Network,
     backward,
     forward_with_cache,
     trainable_params,
-    weight_masks,
 )
 
 logger = logging.getLogger(__name__)
@@ -183,7 +182,7 @@ def _assign_targets(targets_per_image, spec, anchors):
                 logger.warning(
                     "target collision: two '%s' boxes in cell (%d, %d) of %s "
                     "in image %d; keeping the larger one",
-                    spec.classes[class_id], i, j, head.name, b,
+                    CLASS_NAMES[class_id], i, j, head.name, b,
                 )
                 if box.w * box.h <= old_box.w * old_box.h:
                     continue
@@ -218,12 +217,12 @@ def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net: Network, lw: Lo
         b, slot, i, j, (txh, tyh, twh, thh) = cells[name]
         to = raw[:, 4::5]  # (n, slots, gh, gw)
         grad = np.zeros_like(raw)
-        grad[:, 4::5] = lw.noobj * expit(to)
+        grad[:, 4::5] = lw.noobj * sigmoid(to)
         # One sum per image in the head's dtype, as for a batch of one.
         total += lw.noobj * np.logaddexp(0.0, to).sum(axis=(1, 2, 3)).sum(dtype=np.float64)
         base = 5 * slot
         tx, ty, tw, th, t_o = (raw[b, base + c, i, j].astype(np.float64) for c in range(5))
-        sx, sy = expit(tx), expit(ty)
+        sx, sy = sigmoid(tx), sigmoid(ty)
         total += lw.coord * (
             (sx - txh) ** 2 + (sy - tyh) ** 2 + (tw - twh) ** 2 + (th - thh) ** 2
         ).sum()
@@ -234,7 +233,7 @@ def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net: Network, lw: Lo
         grad[b, base + 1, i, j] = lw.coord * 2 * (sy - tyh) * sy * (1 - sy)
         grad[b, base + 2, i, j] = lw.coord * 2 * (tw - twh)
         grad[b, base + 3, i, j] = lw.coord * 2 * (th - thh)
-        grad[b, base + 4, i, j] = lw.obj * (expit(t_o) - 1.0)
+        grad[b, base + 4, i, j] = lw.obj * (sigmoid(t_o) - 1.0)
         grads[name] = grad / n
     return float(total) / n + l1, grads[HEAD_LO], grads[HEAD_HI]
 
@@ -350,7 +349,7 @@ def train_loop(
     batch = min(cfg.batch, n)
     n_batches = -(-n // batch)
     params = trainable_params(net)
-    masks = weight_masks(net)
+    masks = {f"{name}.w": mask for name, mask in net.mask_dict().items()}
     active_masks = {k: m for k, m in masks.items() if not m.all()}
     state = AdamState(params)
     total_steps = cfg.epochs * n_batches

@@ -1,6 +1,9 @@
 import argparse
 import csv
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from robodet import cli
+from robodet import train as train_mod
 from robodet.cli import box_pixel_rect, build_parser, main, render_overlay
 from robodet.data import generate_toy_dataset, load_index, read_ppm, write_ppm
 from robodet.detect import BBox, Detection, load_anchors
@@ -63,9 +67,17 @@ class TestExitCodes:
                      "--images", "/nonexistent.ppm"])
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["detect", "ops", "images", "train"])
+    @pytest.mark.parametrize("command", ["detect", "ops", "images", "train", "train_parent",
+                                         "transfer", "prune"])
     def test_directory_path_is_runtime_error(self, toy_dir, weights_file, tmp_path, capsys,
-                                             command):
+                                             monkeypatch, command):
+        # An unusable --out fails before any work: no training step runs, and
+        # transfer and prune report it ahead of their missing weight file.
+        def never(*args, **kwargs):
+            pytest.fail("ran before --out was checked")
+
+        for name in ("train_loop", "transfer_finetune", "prune", "finetune_pruned"):
+            monkeypatch.setattr(train_mod, name, never)
         argv = {
             "detect": ["detect", "--weights", str(tmp_path), "--images",
                        str(toy_dir / "img_00000.ppm")],
@@ -73,6 +85,11 @@ class TestExitCodes:
             "images": ["detect", "--weights", str(weights_file), "--images", str(tmp_path)],
             "train": ["train", "--data", str(toy_dir), "--out", str(tmp_path),
                       "--epochs", "1"],
+            "train_parent": ["train", "--data", str(toy_dir),
+                             "--out", str(tmp_path / "missing" / "net.rbw"), "--epochs", "1"],
+            "transfer": ["transfer", "--weights", "/nonexistent.rbw", "--data", str(toy_dir),
+                         "--out", str(tmp_path), "--transfer-layers", "3"],
+            "prune": ["prune", "--weights", "/nonexistent.rbw", "--out", str(tmp_path)],
         }[command]
         code = main(argv)
         err = capsys.readouterr().err
@@ -380,6 +397,36 @@ def test_readme_names_the_config_keys():
     keys = bullet.split("The keys are", 1)[1].split("any other key", 1)[0]
     named = set(re.findall(r"`(\w+)`", keys)) - {"TrainConfig"}
     assert named == {f.name for f in fields(TrainConfig)} | set(_LOSS_KEYS)
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any `import scipy` now raises ImportError
+import numpy as np
+from robodet import cli
+from robodet.detect import BBox, decode_network_output
+from robodet.model import build_robo, init_network
+from robodet.train import LossWeights, batch_detection_loss
+
+net = init_network(build_robo(1), seed=0)
+rng = np.random.default_rng(0)
+raw_lo, raw_hi = (rng.normal(0, 2, (1, h.channels, *net.spec.head_grid(h))).astype(np.float32)
+                  for h in net.spec.heads)
+lo, hi = decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
+assert len(lo) and len(hi)
+loss, _, _ = batch_detection_loss(raw_lo, raw_hi, [[(0, BBox(0.5, 0.5, 0.1, 0.1))]], net,
+                                  LossWeights())
+assert np.isfinite(loss)
+sys.exit(cli.main(["ops"]))
+"""
+
+
+def test_runs_with_numpy_alone():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "MAC" in result.stdout
 
 
 class TestGenDataAnchors:

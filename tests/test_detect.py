@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import expit
 
 from robodet.detect import (
     BBox,
@@ -24,6 +24,7 @@ from robodet.detect import (
     parse_detections,
     postprocess,
     save_anchors,
+    sigmoid,
 )
 from robodet.model import CLASS_NAMES, HeadSpec, build_robo, forward, init_network
 from robodet.tensor import ShapeError
@@ -119,7 +120,7 @@ class TestAnchors:
             assert np.isfinite(anchors).all() and (anchors > 0).all()
 
 
-def sigmoid(v):
+def math_sigmoid(v):
     return 1.0 / (1.0 + math.exp(-v))
 
 
@@ -130,13 +131,49 @@ def decode_cell_oracle(raw, head, anchors, grid, slot, i, j):
     tx, ty, tw, th, to = (float(raw[0, base + q, i, j]) for q in range(5))
     class_id = head.classes_owned[slot]
     return (
-        (j + sigmoid(tx)) / gw,
-        (i + sigmoid(ty)) / gh,
+        (j + math_sigmoid(tx)) / gw,
+        (i + math_sigmoid(ty)) / gh,
         anchors[class_id, 0] * math.exp(tw),
         anchors[class_id, 1] * math.exp(th),
-        sigmoid(to),
+        math_sigmoid(to),
         class_id,
     )
+
+
+class TestSigmoid:
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant,
+                        reason="np.longdouble is no wider than float64 here")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [10.0, 800.0])
+    def test_within_four_ulp_of_longdouble(self, rng, dtype, scale):
+        x = rng.uniform(-scale, scale, 200_000).astype(dtype)
+        got = sigmoid(x)
+        ref = 1 / (1 + np.exp(-x.astype(np.longdouble)))
+        err = np.abs(got.astype(np.longdouble) - ref)
+        # Where the true value is subnormal in dtype, exp(-x) has already
+        # overflowed to inf and the result is 0, off by less than tiny.
+        normal = ref >= np.finfo(dtype).tiny
+        ulp = np.spacing(ref[normal].astype(dtype)).astype(np.longdouble)
+        assert (err[normal] / ulp).max() <= 4
+        assert (err[~normal] < np.finfo(dtype).tiny).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_dtype(self, dtype):
+        assert sigmoid(np.zeros((2, 3), dtype=dtype)).dtype == dtype
+        assert sigmoid(dtype(0.5)).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, dtype):
+        got = sigmoid(np.array([np.inf, -np.inf, np.nan, 0.0], dtype=dtype))
+        assert got[0] == 1 and got[1] == 0 and np.isnan(got[2]) and got[3] == 0.5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_warning_at_extremes(self, dtype):
+        x = np.array([1e4, -1e4, np.inf, -np.inf], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(x)
+        assert got.tolist() == [1, 0, 1, 0]
 
 
 class TestDecode:
@@ -369,11 +406,11 @@ def decode_reference(raw, head, anchors, grid):
     out = []
     for slot, class_id in enumerate(head.classes_owned):
         tx, ty, tw, th, to = raw[0, 5 * slot : 5 * slot + 5].astype(np.float64)
-        cx = (np.arange(gw) + expit(tx)) / gw
-        cy = (np.arange(gh)[:, None] + expit(ty)) / gh
+        cx = (np.arange(gw) + sigmoid(tx)) / gw
+        cy = (np.arange(gh)[:, None] + sigmoid(ty)) / gh
         w = anchors[class_id, 0] * np.exp(tw)
         h = anchors[class_id, 1] * np.exp(th)
-        conf = expit(to)
+        conf = sigmoid(to)
         for i in range(gh):
             for j in range(gw):
                 out.append(
@@ -476,7 +513,7 @@ class TestArrayPathMatchesObjectPath:
     @given(
         head_outputs(coarse=True),
         head_outputs(coarse=True),
-        st.one_of(st.sampled_from([0.0, float(expit(0.0)), float(expit(0.5)), 1.0]),
+        st.one_of(st.sampled_from([0.0, float(sigmoid(0.0)), float(sigmoid(0.5)), 1.0]),
                   st.floats(0.0, 1.0)),
         st.one_of(st.none(), st.floats(0.01, 1.0)),
         st.booleans(),

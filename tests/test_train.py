@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import expit
 
 from robodet.data import BT601, Annotation, generate_toy_dataset, load_all_samples
-from robodet.detect import BBox, encode
+from robodet.detect import BBox, encode, sigmoid
 from robodet import train as train_mod
-from robodet.model import HEAD_HI, HEAD_LO, build_robo, init_network, save_weights
+from robodet.model import CLASS_NAMES, HEAD_HI, HEAD_LO, build_robo, init_network, save_weights
 from robodet.train import (
     AdamState,
     LossWeights,
@@ -144,7 +143,7 @@ def _reference_assign_targets(targets, spec, anchors):
             _reference_logger.warning(
                 "target collision: two '%s' boxes in cell (%d, %d) of %s; "
                 "keeping the larger one",
-                spec.classes[class_id], i, j, head_name,
+                CLASS_NAMES[class_id], i, j, head_name,
             )
             if box.w * box.h <= old_box.w * old_box.h:
                 continue
@@ -166,7 +165,7 @@ def reference_detection_loss(raw_lo, raw_hi, targets, net, lw):
         raw = raws[head.name]
         grad = np.zeros_like(raw)
         to = raw[0, 4::5]
-        sig_to = expit(to)
+        sig_to = sigmoid(to)
         loss += lw.noobj * float(np.logaddexp(0.0, to).sum())
         grad[0, 4::5] = lw.noobj * sig_to
         for (hname, slot, i, j), (_box, t) in assigned.items():
@@ -174,7 +173,7 @@ def reference_detection_loss(raw_lo, raw_hi, targets, net, lw):
                 continue
             base = 5 * slot
             tx, ty, tw, th, t_o = (float(v) for v in raw[0, base : base + 5, i, j])
-            sx, sy = expit(tx), expit(ty)
+            sx, sy = sigmoid(tx), sigmoid(ty)
             txh, tyh, twh, thh = t
             loss += lw.coord * (
                 (sx - txh) ** 2 + (sy - tyh) ** 2 + (tw - twh) ** 2 + (th - thh) ** 2
@@ -185,7 +184,7 @@ def reference_detection_loss(raw_lo, raw_hi, targets, net, lw):
             grad[0, base + 3, i, j] = lw.coord * 2 * (th - thh)
             loss -= lw.noobj * float(np.logaddexp(0.0, t_o))
             loss += lw.obj * float(np.logaddexp(0.0, -t_o))
-            s_o = float(expit(t_o))
+            s_o = float(sigmoid(t_o))
             grad[0, base + 4, i, j] = lw.obj * (s_o - 1.0)
         grads[head.name] = grad
     return loss, grads[HEAD_LO], grads[HEAD_HI]
