@@ -175,13 +175,23 @@ def _check_out(path) -> None:
         raise FileNotFoundError(errno.ENOENT, "parent directory does not exist", path)
 
 
+def _dataset_anchors(index: data_mod.DatasetIndex) -> np.ndarray:
+    """compute_anchors over a dataset, with a class that has no box there as
+    a validation error naming the dataset directory."""
+    annotations = data_mod.load_all_annotations(index)
+    try:
+        return detect_mod.compute_anchors(annotations)
+    except ValueError as exc:
+        raise CliError(f"{index.root}: {exc}") from exc
+
+
 def _resolve_anchors(args, index) -> np.ndarray:
     if getattr(args, "anchors", None):
         try:
             return detect_mod.load_anchors(args.anchors)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    return detect_mod.compute_anchors(data_mod.load_all_annotations(index))
+    return _dataset_anchors(index)
 
 
 def _add_train_flags(p, require_model=True):
@@ -212,7 +222,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_anchors(args) -> int:
     index = _read_index(args.data)
-    anchors = detect_mod.compute_anchors(data_mod.load_all_annotations(index))
+    anchors = _dataset_anchors(index)
     out = args.out or str(Path(args.data) / "anchors.txt")
     detect_mod.save_anchors(out, anchors)
     for name, (aw, ah) in zip(model_mod.CLASS_NAMES, anchors):

@@ -319,9 +319,13 @@ def _layer_forward(layer: Layer, x, cache=None):
         zn = batch_norm(z, layer.bn, "infer")
     else:
         zn, stats = batch_norm(z, layer.bn, "train")
-    a = leaky_relu(zn) if layer.spec.activation == "leaky" else zn
+    leaky = layer.spec.activation == "leaky"
+    a = leaky_relu(zn) if leaky else zn
     if cache is not None:
-        cache.append({"x": x, "z": z, "zn": zn, "stats": stats})
+        # Backward needs zn only through its sign; the 1-byte mask takes the
+        # place of the 4-byte BN output.
+        cache.append({"x": x, "z": z, "mask": zn >= 0 if leaky else None,
+                      "stats": stats})
     return a
 
 
@@ -332,7 +336,8 @@ def forward(net: Network, x: np.ndarray):
 
 
 def forward_with_cache(net: Network, x: np.ndarray):
-    """Train-mode forward keeping per-layer activations for backward()."""
+    """Train-mode forward keeping, per layer, the input, the conv output,
+    the batch statistics and the activation's sign mask for backward()."""
     return _forward_impl(net, x, keep_cache=True)
 
 
@@ -382,7 +387,7 @@ def backward(net: Network, cache, grad_lo: np.ndarray, grad_hi: np.ndarray):
             tg = tap_grads[layer.spec.tap]
             g = tg if g is None else g + tg
         if layer.spec.activation == "leaky":
-            g = leaky_relu_backward(entry["zn"], g)
+            g = leaky_relu_backward(entry["mask"], g)
         if layer.bn is not None:
             g, dgamma, dbeta = batch_norm_backward(entry["z"], layer.bn, g,
                                                    entry["stats"])

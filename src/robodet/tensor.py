@@ -208,9 +208,24 @@ def leaky_relu(x: np.ndarray, slope: float = 0.1) -> np.ndarray:
 
 
 def leaky_relu_backward(
-    x: np.ndarray, grad_out: np.ndarray, slope: float = 0.1
+    mask: np.ndarray, grad_out: np.ndarray, slope: float = 0.1
 ) -> np.ndarray:
-    return grad_out * np.where(x >= 0, np.asarray(1, grad_out.dtype), slope)
+    """grad_out times the leaky ReLU's slope at x, from mask = (x >= 0).
+
+    The mask comes from the input and not the output: a negative subnormal
+    x gives ``slope * x == -0``, whose output passes ``>= 0``.  The factor is
+    ``mask * (1 - s) + s`` with s the slope in grad_out's dtype, exactly 1
+    or s because round-to-nearest makes ``(1 - s) + s`` exactly 1 for every
+    s in (0, 1); so the result equals ``grad_out * where(mask, 1, s)`` bit
+    for bit, without the select.
+    """
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {slope}")
+    s = np.asarray(slope, dtype=grad_out.dtype)
+    factor = np.multiply(mask, 1 - s, dtype=grad_out.dtype)
+    factor += s
+    factor *= grad_out
+    return factor
 
 
 def _check_bn_input(x: np.ndarray, params: BatchNormParams) -> None:
@@ -264,16 +279,22 @@ def batch_norm_backward(
     returned in stats."""
     _check_bn_input(x, params)
     mu, ivar = stats
-    xhat = (x - mu[:, None, None]) * ivar[:, None, None]
+    # The operations of the textbook expression
+    #   xhat = (x - mu) * ivar
+    #   grad_x = (gamma * ivar / count)
+    #            * (count * grad_out - grad_beta - xhat * grad_gamma)
+    # in the same order, so the same rounding, in two activation-sized buffers.
+    xhat = x - mu[:, None, None]
+    xhat *= ivar[:, None, None]
     grad_beta = grad_out.sum(axis=(0, 2, 3))
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-    gscale = (params.gamma * ivar)[:, None, None]
+    grad_x = np.multiply(grad_out, xhat)
+    grad_gamma = grad_x.sum(axis=(0, 2, 3))
     count = x.shape[0] * x.shape[2] * x.shape[3]
-    grad_x = (gscale / count) * (
-        count * grad_out
-        - grad_beta[:, None, None]
-        - xhat * grad_gamma[:, None, None]
-    )
+    np.multiply(grad_out, count, out=grad_x)
+    grad_x -= grad_beta[:, None, None]
+    xhat *= grad_gamma[:, None, None]
+    grad_x -= xhat
+    grad_x *= (params.gamma * ivar)[:, None, None] / count
     return grad_x, grad_gamma, grad_beta
 
 

@@ -325,6 +325,29 @@ def _diagnostics(net, epoch, batch):
     return f"epoch {epoch}, batch {batch}, layer max-abs weights: {norms}"
 
 
+def _make_batch(images, targets, ids, rng, augment_data):
+    """The YUV input tensor and the targets of the samples ids, augmented
+    when augment_data is set."""
+    xs, batch_targets = [], []
+    for i in ids:
+        img, anns = images[i], targets[i]
+        if augment_data:
+            img, anns = augment(img, anns, rng)
+        xs.append(data_mod.rgb_to_yuv(img))
+        batch_targets.append(anns)
+    return np.stack(xs), batch_targets
+
+
+def _loss_and_grads(net, x, batch_targets, lw, epoch, b):
+    """Loss and parameter gradients of one batch.  Its forward cache lives
+    only within this call, so one training step holds one cache."""
+    (raw_lo, raw_hi), cache = forward_with_cache(net, x)
+    loss, grad_lo, grad_hi = batch_detection_loss(raw_lo, raw_hi, batch_targets, net, lw)
+    if not math.isfinite(loss):
+        raise RuntimeError(f"non-finite training loss; {_diagnostics(net, epoch, b)}")
+    return loss, backward(net, cache, grad_lo, grad_hi)
+
+
 def train_loop(
     net: Network,
     index,
@@ -360,23 +383,8 @@ def train_loop(
         for epoch in range(cfg.epochs):
             epoch_losses = []
             for b, ids in enumerate(_epoch_batches(n, batch, rng)):
-                xs, batch_targets = [], []
-                for i in ids:
-                    img, anns = images[i], targets[i]
-                    if augment_data:
-                        img, anns = augment(img, anns, rng)
-                    xs.append(data_mod.rgb_to_yuv(img))
-                    batch_targets.append(anns)
-                x = np.stack(xs)
-                (raw_lo, raw_hi), cache = forward_with_cache(net, x)
-                loss, grad_lo, grad_hi = batch_detection_loss(
-                    raw_lo, raw_hi, batch_targets, net, lw
-                )
-                if not math.isfinite(loss):
-                    raise RuntimeError(
-                        f"non-finite training loss; {_diagnostics(net, epoch, b)}"
-                    )
-                grads = backward(net, cache, grad_lo, grad_hi)
+                x, batch_targets = _make_batch(images, targets, ids, rng, augment_data)
+                loss, grads = _loss_and_grads(net, x, batch_targets, lw, epoch, b)
                 if lw.l1 > 0:
                     for name in masks:
                         grads[name] = grads[name] + lw.l1 * np.sign(params[name])

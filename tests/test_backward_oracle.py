@@ -1,11 +1,13 @@
 """The training step's gradients against a frozen copy of the whole-batch
 backward pass.
 
-The frozen functions below are the conv and batch-norm backward passes as
-they were before convolutions ran in batch slices: one im2col matrix for
-the whole batch, the input gradient of every layer (layer 1's included,
-then discarded), and batch statistics recomputed from the cached input.
-Slicing must leave every gradient bit for bit unchanged.
+The frozen functions below are the conv, batch-norm and leaky-ReLU backward
+passes as they were before convolutions ran in batch slices and before the
+forward cache kept sign masks: one im2col matrix for the whole batch, the
+input gradient of every layer (layer 1's included, then discarded), batch
+statistics recomputed from the cached conv output, and the leaky ReLU's
+slope selected from the sign of a batch-norm output that the oracle
+recomputes itself.  Every gradient must stay bit for bit unchanged.
 """
 
 import tracemalloc
@@ -24,7 +26,15 @@ from robodet.model import (
     forward_with_cache,
     init_network,
 )
-from robodet.tensor import ConvParams, conv2d_backward, im2col, leaky_relu_backward
+from robodet.tensor import (
+    BatchNormParams,
+    ConvParams,
+    batch_norm,
+    batch_norm_backward,
+    conv2d_backward,
+    im2col,
+    leaky_relu_backward,
+)
 
 
 def frozen_col2im(cols, x_shape, kernel, stride, padding):
@@ -56,6 +66,20 @@ def frozen_conv2d_backward(x, params, grad_out):
         grad_cols, x.shape, params.kernel, params.stride, params.padding
     )
     return grad_input, grad_weights, grad_bias
+
+
+def frozen_batch_norm_train(x, params):
+    """Train-mode batch norm output, without touching the running stats."""
+    mu = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    ivar = 1.0 / np.sqrt(var + params.eps)
+    scale = (params.gamma * ivar)[:, None, None]
+    shift = (params.beta - params.gamma * mu * ivar)[:, None, None]
+    return x * scale + shift
+
+
+def frozen_leaky_relu_backward(x, grad_out, slope=0.1):
+    return grad_out * np.where(x >= 0, np.asarray(1, grad_out.dtype), slope)
 
 
 def frozen_batch_norm_backward(x, params, grad_out):
@@ -91,10 +115,12 @@ def frozen_backward(net, cache, grad_lo, grad_hi):
         if layer.spec.tap:
             tg = tap_grads[layer.spec.tap]
             g = tg if g is None else g + tg
+        z = entry["z"]
         if layer.spec.activation == "leaky":
-            g = leaky_relu_backward(entry["zn"], g)
+            zn = z if layer.bn is None else frozen_batch_norm_train(z, layer.bn)
+            g = frozen_leaky_relu_backward(zn, g)
         if layer.bn is not None:
-            g, dgamma, dbeta = frozen_batch_norm_backward(entry["z"], layer.bn, g)
+            g, dgamma, dbeta = frozen_batch_norm_backward(z, layer.bn, g)
             grads[f"l{i}.gamma"] = dgamma
             grads[f"l{i}.beta"] = dbeta
             g, dw, _ = frozen_conv2d_backward(entry["x"], layer.conv, g)
@@ -218,14 +244,24 @@ def test_input_grad_false_keeps_weight_and_bias_gradients(rng):
     assert_bitwise_equal(gb, want[2])
 
 
-# Peak tracemalloc bytes of one robo k=1, batch-16 backward above its 26.0 MB
-# forward cache.  Measured: 15.3 MB; the whole-batch backward, which also
-# computed layer 1's input gradient, peaked at 58.0 MB.  The bound leaves a
-# 30% margin over the measured peak.
-BACKWARD_PEAK_BOUND = 20_000_000
+# Bytes that one robo k=1, batch-16 train-mode forward leaves allocated: its
+# cache, which holds each layer's input, conv output, batch statistics and
+# 1-byte activation sign mask (the input batch is allocated before).
+# Measured: 19.5 MB; with the 4-byte batch-norm output in place of the mask
+# it was 26.0 MB.  The bound leaves a 7% margin.
+FORWARD_CACHE_BOUND = 21_000_000
+
+# Peak tracemalloc bytes of the backward of that step above its forward
+# cache.  Measured: 13.1 MB; with the batch-norm backward's temporaries it
+# was 15.3 MB, and the whole-batch backward, which also computed layer 1's
+# input gradient, peaked at 58.0 MB.  The bound leaves a 30% margin over the
+# measured peak.
+BACKWARD_PEAK_BOUND = 17_000_000
 
 
-def test_backward_memory_stays_within_bound():
+def robo_step_memory():
+    """(bytes the forward cache holds, backward peak bytes above it) of one
+    robo k=1, batch-16 training step."""
     net = init_network(SPECS["robo"])
     rng = np.random.default_rng(0)
     x = rng.random((16, 3) + net.spec.input_hw, dtype=np.float32)
@@ -239,4 +275,41 @@ def test_backward_memory_stays_within_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - cached <= BACKWARD_PEAK_BOUND
+    return cached, peak - cached
+
+
+def test_forward_cache_stays_within_bound():
+    cached, _ = robo_step_memory()
+    assert cached <= FORWARD_CACHE_BOUND
+
+
+def test_backward_memory_stays_within_bound():
+    _, backward_peak = robo_step_memory()
+    assert backward_peak <= BACKWARD_PEAK_BOUND
+
+
+# Slack for the per-channel vectors and numpy's cast buffers.
+KERNEL_SLACK = 1 << 16
+
+
+@pytest.mark.parametrize("kernel, buffers", [("leaky_relu", 1), ("batch_norm", 2)])
+def test_backward_kernel_allocates_only_its_buffers(kernel, buffers):
+    # Layer 1's batch-16 activation: the leaky ReLU backward writes into its
+    # output alone, the batch-norm backward into its output and one buffer.
+    rng = np.random.default_rng(0)
+    z = rng.normal(0, 1, (16, 4, 96, 128)).astype(np.float32)
+    g = rng.normal(0, 1, z.shape).astype(np.float32)
+    bn = BatchNormParams.identity(4)
+    _, stats = batch_norm(z, bn, "train")
+    mask = z >= 0
+    run = {
+        "leaky_relu": lambda: leaky_relu_backward(mask, g),
+        "batch_norm": lambda: batch_norm_backward(z, bn, g, stats),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers * z.nbytes + KERNEL_SLACK

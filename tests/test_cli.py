@@ -97,6 +97,28 @@ class TestExitCodes:
         assert err.startswith("error:") and str(tmp_path) in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["anchors", "train"])
+    def test_class_without_boxes_is_validation_error(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # No crossing in the dataset: computing anchors from it fails before
+        # any training, as a validation error naming the dataset directory.
+        data = generate_toy_dataset(3, "A", seed=2, out_dir=tmp_path / "no_crossing")
+        for _, ann_rel in data.entries:
+            path = data.root / ann_rel
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(l for l in lines if not l.startswith("1 ")))
+        monkeypatch.setattr(train_mod, "train_loop",
+                            lambda *a, **kw: pytest.fail("trained without anchors"))
+        argv = {
+            "anchors": ["anchors", "--data", str(data.root)],
+            "train": ["train", "--data", str(data.root), "--out", str(tmp_path / "net.rbw"),
+                      "--epochs", "1"],
+        }[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {data.root}: no annotations for class 'crossing'\n"
+
     def test_unknown_flag_rejected(self):
         assert main(["ops", "--frobnicate"]) == 1
 

@@ -140,6 +140,19 @@ def leaky_relu_reference(x, slope=0.1):
     return np.where(x >= 0, x, x * np.asarray(slope, dtype=x.dtype))
 
 
+def leaky_relu_backward_reference(x, grad_out, slope=0.1):
+    """Frozen copy of the earlier select-based leaky ReLU backward."""
+    return grad_out * np.where(x >= 0, np.asarray(1, grad_out.dtype), slope)
+
+
+def special_values(dtype):
+    """±0, ±smallest subnormal, ±max, ±inf, NaN and ±1 in dtype."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    big = np.finfo(dtype).max
+    return np.array([0.0, -0.0, tiny, -tiny, big, -big, np.inf, -np.inf, np.nan, 1.0, -1.0],
+                    dtype=dtype)
+
+
 def assert_bitwise_equal(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -210,14 +223,52 @@ class TestLeakyRelu:
     def test_slope_outside_unit_interval_rejected(self, slope):
         with pytest.raises(ValueError, match="slope"):
             leaky_relu(np.ones(3), slope)
+        with pytest.raises(ValueError, match="slope"):
+            leaky_relu_backward(np.ones(3, bool), np.ones(3), slope)
 
     def test_backward_matches_fd_away_from_zero(self, rng):
         x = rng.normal(0, 1, (2, 2, 4, 4))
         x[np.abs(x) < 1e-2] = 0.5  # kink exclusion
         g = rng.normal(0, 1, x.shape)
-        gx = leaky_relu_backward(x, g)
+        gx = leaky_relu_backward(x >= 0, g)
         fd = finite_difference(lambda v: (leaky_relu(v) * g).sum(), x)
         assert grad_error(gx, fd) < 1e-4
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_special_values_match_select_oracle(self, dtype):
+        # Every special input against every special gradient.
+        x, g = np.meshgrid(special_values(dtype), special_values(dtype))
+        assert_bitwise_equal(leaky_relu_backward(x >= 0, g),
+                             leaky_relu_backward_reference(x, g))
+
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        slope=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_backward_matches_select_oracle(self, dtype, slope, seed):
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore"):  # float32 overflow to ±inf is a wanted input
+            x, g = (rng.normal(0, 1, (2, 200)) * 10.0 ** rng.integers(-330, 310, (2, 200))
+                    ).astype(dtype)
+        g[:11] = special_values(dtype)
+        with np.errstate(invalid="ignore"):  # inf times a slope that rounds to 0
+            assert_bitwise_equal(leaky_relu_backward(x >= 0, g, slope),
+                                 leaky_relu_backward_reference(x, g, slope))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_subnormals_have_non_negative_output(self, dtype):
+        # Why the forward cache keeps the sign mask of the input and not the
+        # output: slope * x underflows to -0 on the smallest negative
+        # subnormals, so the output's sign test passes where the input's fails.
+        x = -np.arange(1, 8, dtype=dtype) * np.finfo(dtype).smallest_subnormal
+        out = leaky_relu(x)
+        assert list(out >= 0) == [True] * 4 + [False] * 3
+        g = np.ones_like(x)
+        assert_bitwise_equal(leaky_relu_backward(x >= 0, g), np.full_like(x, 0.1))
+        assert np.all(leaky_relu_backward(out >= 0, g)[:4] == 1)
 
 
 class TestBatchNorm:

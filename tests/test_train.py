@@ -1,5 +1,6 @@
 import logging
 import math
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -742,6 +743,28 @@ class TestTrainLoop:
             save_weights(net, path)
             saved.append(path.read_bytes())
         assert saved[0] == saved[1]
+
+    def test_forward_starts_without_last_steps_arrays(self, micro_dataset, monkeypatch):
+        # One training step holds one forward cache: when a step's forward
+        # begins, no array of the last step's batch or cache is alive.
+        forward = train_mod.forward_with_cache
+        last_step, alive_at_entry = [], []
+
+        def spy(net, x):
+            alive_at_entry.append(sum(ref() is not None for ref in last_step))
+            (lo, hi), cache = out = forward(net, x)
+            arrays = [x, lo, hi, *cache["taps"].values()]
+            for entry in cache["layers"]:
+                for value in entry.values():
+                    arrays += value if isinstance(value, tuple) else [value]
+            last_step[:] = [weakref.ref(a) for a in arrays if isinstance(a, np.ndarray)]
+            return out
+
+        monkeypatch.setattr(train_mod, "forward_with_cache", spy)
+        net = init_network(build_robo(1), seed=2)
+        train_loop(net, micro_dataset, micro_cfg(), LossWeights())
+        assert len(last_step) > 50
+        assert alive_at_entry == [0] * 6
 
     def test_loss_decreases_on_micro_run(self, micro_dataset):
         net = init_network(build_robo(1), seed=2)
