@@ -370,30 +370,35 @@ def backward(net: Network, cache, grad_lo: np.ndarray, grad_hi: np.ndarray):
 
     Returns a dict keyed like trainable_params().  The image is not a
     parameter, so layer 1's input gradient is not computed.
+
+    The cache is consumed: each layer's entry, each head tap and each tap
+    gradient is dropped as soon as it is used, so every layer's backward
+    runs beside only the entries of the layers below it, and the cache's
+    ``layers`` list and ``taps`` dict are empty on return.
     """
     grads: dict[str, np.ndarray] = {}
     tap_grads = {}
     for name, g in ((HEAD_LO, grad_lo), (HEAD_HI, grad_hi)):
-        layer = net.heads[name]
-        gx, gw, gb = conv2d_backward(cache["taps"][name], layer.conv, g)
-        grads[f"{name}.w"] = gw
-        grads[f"{name}.b"] = gb
-        tap_grads[name] = gx
+        tap_grads[name], grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(
+            cache["taps"].pop(name), net.heads[name].conv, g
+        )
     g = None
     for i in range(len(net.layers), 0, -1):
         layer = net.layers[i - 1]
-        entry = cache["layers"][i - 1]
-        if layer.spec.tap:
-            tg = tap_grads[layer.spec.tap]
-            g = tg if g is None else g + tg
+        entry = cache["layers"].pop()
+        tap = layer.spec.tap
+        if tap and g is None:
+            g = tap_grads.pop(tap)
+        elif tap:
+            g += tap_grads.pop(tap)  # both fresh arrays; += rounds as + does
         if layer.spec.activation == "leaky":
-            g = leaky_relu_backward(entry["mask"], g)
+            g = leaky_relu_backward(entry.pop("mask"), g)
         if layer.bn is not None:
-            g, dgamma, dbeta = batch_norm_backward(entry["z"], layer.bn, g,
-                                                   entry["stats"])
+            g, dgamma, dbeta = batch_norm_backward(entry.pop("z"), layer.bn, g,
+                                                   entry.pop("stats"))
             grads[f"l{i}.gamma"] = dgamma
             grads[f"l{i}.beta"] = dbeta
-        g, dw, db = conv2d_backward(entry["x"], layer.conv, g, input_grad=i > 1)
+        g, dw, db = conv2d_backward(entry.pop("x"), layer.conv, g, input_grad=i > 1)
         if layer.bn is None:
             grads[f"l{i}.b"] = db
         grads[f"l{i}.w"] = dw

@@ -167,7 +167,10 @@ def conv2d_backward(
     """Gradients of sum(grad_out * conv2d_forward(x)) w.r.t. x, weights, bias,
     batch slice by batch slice as in conv2d_forward.
 
-    The weight gradient sums the per-image products over the batch.  With
+    The weight gradient is built transposed, as (in_ch*k*k, out_ch): each
+    image's ``cols @ g.T`` is added to it in image order, starting from
+    zero, which is how numpy's axis-0 sum over a per-image stack adds; so
+    it equals that sum bit for bit without holding the stack.  With
     input_grad=False the input gradient is not computed and None takes its
     place.
     """
@@ -182,16 +185,19 @@ def conv2d_backward(
     g = grad_out.reshape(n, params.out_ch, -1)
     grad_bias = g.sum(axis=(0, 2))
     w2 = params.weights.reshape(params.out_ch, -1)
-    per_image = np.empty((n,) + w2.shape, np.result_type(g, x))
+    grad_w2t = np.zeros(w2.shape[::-1], np.result_type(g, x))
+    term = np.empty_like(grad_w2t)
     grad_input = np.empty(x.shape, np.result_type(w2, g)) if input_grad else None
     step = _slice_step(x, params)
     for i in range(0, n, step):
         xs, gs = x[i : i + step], g[i : i + step]
         cols = im2col(xs, k, s, p)
-        np.matmul(gs, cols.transpose(0, 2, 1), out=per_image[i : i + step])
+        for cols_j, g_j in zip(cols, gs):
+            np.matmul(cols_j, g_j.T, out=term)
+            grad_w2t += term
         if input_grad:
             grad_input[i : i + step] = col2im(np.matmul(w2.T, gs), xs.shape, k, s, p)
-    grad_weights = per_image.sum(axis=0).reshape(params.weights.shape)
+    grad_weights = grad_w2t.T.reshape(params.weights.shape)
     return grad_input, grad_weights, grad_bias
 
 

@@ -387,7 +387,7 @@ def train_loop(
                 loss, grads = _loss_and_grads(net, x, batch_targets, lw, epoch, b)
                 if lw.l1 > 0:
                     for name in masks:
-                        grads[name] = grads[name] + lw.l1 * np.sign(params[name])
+                        grads[name] += lw.l1 * np.sign(params[name])  # backward's own array
                 lr = cosine_lr(step, total_steps, cfg)
                 adam_step(params, grads, state, lr, masks=active_masks, lr_scale=lr_scale)
                 epoch_losses.append(loss)

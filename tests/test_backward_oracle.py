@@ -11,6 +11,7 @@ recomputes itself.  Every gradient must stay bit for bit unchanged.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -170,8 +171,9 @@ def test_gradients_match_whole_batch_oracle(monkeypatch, model, batch, budget):
         first = init_network(spec).layers[0].conv
         monkeypatch.setattr(robodet.tensor, "SLICE_BYTES", 2 * patch_bytes(x, first))
     net, cache, grad_lo, grad_hi = train_step(spec, batch)
-    got = robodet.model.backward(net, cache, grad_lo, grad_hi)
+    # The oracle runs first: robodet's backward consumes the cache.
     want = frozen_backward(net, cache, grad_lo, grad_hi)
+    got = robodet.model.backward(net, cache, grad_lo, grad_hi)
     assert got.keys() == want.keys()
     for name in want:
         assert_bitwise_equal(got[name], want[name])
@@ -232,6 +234,36 @@ def test_layer1_input_gradient_is_never_computed(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("model", sorted(SPECS))
+def test_backward_empties_the_cache(model):
+    net, cache, grad_lo, grad_hi = train_step(SPECS[model], 1)
+    layers, taps = cache["layers"], cache["taps"]
+    robodet.model.backward(net, cache, grad_lo, grad_hi)
+    assert cache["layers"] is layers and layers == []
+    assert cache["taps"] is taps and taps == {}
+
+
+def test_layer1_backward_runs_without_later_entries(monkeypatch):
+    # Every array that the cache holds for layers 2 and up, and for the
+    # heads, is freed before layer 1's conv backward starts.
+    net, cache, grad_lo, grad_hi = train_step(SPECS["robo"], 2)
+    later = [entry[key] for entry in cache["layers"][1:] for key in ("x", "z", "mask")]
+    later += cache["taps"].values()
+    refs = [weakref.ref(a) for a in later]
+    del later
+    alive = []
+    backward = robodet.model.conv2d_backward
+
+    def spy_backward(x, params, grad_out, **kwargs):
+        if params is net.layers[0].conv:
+            alive.append(sum(r() is not None for r in refs))
+        return backward(x, params, grad_out, **kwargs)
+
+    monkeypatch.setattr(robodet.model, "conv2d_backward", spy_backward)
+    robodet.model.backward(net, cache, grad_lo, grad_hi)
+    assert alive == [0]
+
+
 def test_input_grad_false_keeps_weight_and_bias_gradients(rng):
     conv = ConvParams(3, 2, 3, 4, rng.normal(0, 1, (4, 3, 3, 3)), rng.normal(0, 1, 4))
     x = rng.normal(0, 1, (5, 3, 8, 8))
@@ -252,11 +284,18 @@ def test_input_grad_false_keeps_weight_and_bias_gradients(rng):
 FORWARD_CACHE_BOUND = 21_000_000
 
 # Peak tracemalloc bytes of the backward of that step above its forward
-# cache.  Measured: 13.1 MB; with the batch-norm backward's temporaries it
-# was 15.3 MB, and the whole-batch backward, which also computed layer 1's
-# input gradient, peaked at 58.0 MB.  The bound leaves a 30% margin over the
-# measured peak.
-BACKWARD_PEAK_BOUND = 17_000_000
+# cache.  Measured: 2.63 MB.  Before the backward consumed the cache and
+# summed the weight gradient image by image it was 13.1 MB; with the
+# batch-norm backward's temporaries it was 15.3 MB, and the whole-batch
+# backward, which also computed layer 1's input gradient, peaked at
+# 58.0 MB.  The bound leaves a 30% margin over the measured peak.
+BACKWARD_PEAK_BOUND = 3_420_000
+
+# Peak tracemalloc bytes of one conv2d_backward call on that step's layer 11
+# (3x3, 128 -> 128 channels on a 3x4 grid).  Measured: 3.40 MB; with a
+# per-image weight-gradient buffer summed at the end it was 11.7 MB.  The
+# bound leaves a 30% margin over the measured peak.
+L11_CONV_BACKWARD_BOUND = 4_420_000
 
 
 def robo_step_memory():
@@ -286,6 +325,24 @@ def test_forward_cache_stays_within_bound():
 def test_backward_memory_stays_within_bound():
     _, backward_peak = robo_step_memory()
     assert backward_peak <= BACKWARD_PEAK_BOUND
+
+
+def test_layer11_conv_backward_stays_within_bound():
+    net = init_network(SPECS["robo"])
+    rng = np.random.default_rng(0)
+    x = rng.random((16, 3) + net.spec.input_hw, dtype=np.float32)
+    _, cache = forward_with_cache(net, x)
+    entry = cache["layers"][10]
+    g = rng.normal(0, 1, entry["z"].shape).astype(np.float32)
+    conv = net.layers[10].conv
+    assert (conv.kernel, conv.in_ch, conv.out_ch) == (3, 128, 128)
+    tracemalloc.start()
+    try:
+        conv2d_backward(entry["x"], conv, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= L11_CONV_BACKWARD_BOUND
 
 
 # Slack for the per-channel vectors and numpy's cast buffers.
