@@ -8,7 +8,6 @@ cx, cy in [0, 1], w, h > 0 (may exceed 1 for boxes spilling past borders).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,8 @@ class Detection:
 class Detections:
     """Detections as parallel 1-D arrays, entry k being one candidate.
 
-    ``len``, integer indexing and iteration yield `Detection` objects, so
-    code written for a list of detections reads this unchanged.
+    ``len`` counts the entries and iteration yields them as `Detection`
+    objects, which `format_detections` and the overlay read.
     """
 
     class_id: np.ndarray  # int64
@@ -55,10 +54,6 @@ class Detections:
     def __len__(self) -> int:
         return len(self.confidence)
 
-    def __getitem__(self, i: int) -> Detection:
-        c, p, x, y, w, h = (v[operator.index(i)].item() for v in self.columns())
-        return Detection(BBox(x, y, w, h), c, p)
-
     def __iter__(self):
         for c, p, x, y, w, h in zip(*(v.tolist() for v in self.columns())):
             yield Detection(BBox(x, y, w, h), c, p)
@@ -71,19 +66,8 @@ class Detections:
     def concat(parts) -> Detections:
         """The entries of every part, part by part."""
         if not parts:
-            return as_detections([])
+            return Detections(np.zeros(0, dtype=np.int64), *np.zeros((5, 0)))
         return Detections(*(np.concatenate(v) for v in zip(*(p.columns() for p in parts))))
-
-
-def as_detections(dets) -> Detections:
-    """``dets`` as `Detections`; a sequence of `Detection` is converted."""
-    if isinstance(dets, Detections):
-        return dets
-    dets = list(dets)
-    values = np.array(
-        [(d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets], dtype=np.float64
-    ).reshape(-1, 5)
-    return Detections(np.array([d.class_id for d in dets], dtype=np.int64), *values.T)
 
 
 def compute_anchors(annotations) -> np.ndarray:
@@ -190,37 +174,35 @@ def iou_matrix(a, b) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=(iw > 0) & (ih > 0))
 
 
-def nms(detections, iou_threshold: float) -> list[Detection]:
-    """Greedy per-class suppression of boxes overlapping a kept box by more
-    than the threshold; ties in confidence keep the earlier detection."""
-    detections = list(detections)
-    kept: list[Detection] = []
+def nms(dets: Detections, iou_threshold: float) -> np.ndarray:
+    """Indices of the entries kept by greedy per-class suppression of boxes
+    overlapping a kept box by more than the threshold, class by class in
+    descending confidence; ties in confidence keep the earlier entry."""
+    classes, confidences = dets.class_id.tolist(), dets.confidence.tolist()
+    boxes = list(map(BBox, dets.cx.tolist(), dets.cy.tolist(), dets.w.tolist(), dets.h.tolist()))
+    kept: list[int] = []
     for class_id in range(len(CLASS_NAMES)):
-        cls = [d for d in detections if d.class_id == class_id]
-        cls.sort(key=lambda d: -d.confidence)
-        survivors: list[Detection] = []
-        for d in cls:
-            if all(iou(d.box, s.box) <= iou_threshold for s in survivors):
-                survivors.append(d)
+        cls = [i for i, c in enumerate(classes) if c == class_id]
+        cls.sort(key=lambda i: -confidences[i])
+        survivors: list[int] = []
+        for i in cls:
+            if all(iou(boxes[i], boxes[s]) <= iou_threshold for s in survivors):
+                survivors.append(i)
         kept.extend(survivors)
-    return kept
+    return np.array(kept, dtype=np.intp)
 
 
 def postprocess(
-    dets_lo,
-    dets_hi,
+    dets_lo: Detections,
+    dets_hi: Detections,
     conf_threshold: float = DEFAULT_CONF_THRESHOLD,
     nms_iou: float | None = None,
 ) -> Detections:
-    """Merge both heads' candidates, drop low confidences, optionally NMS.
-
-    The threshold applies to the arrays, so only the survivors ever become
-    `Detection` objects, and only when NMS runs.
-    """
-    merged = Detections.concat([as_detections(dets_lo), as_detections(dets_hi)])
+    """Merge both heads' candidates, drop low confidences, optionally NMS."""
+    merged = Detections.concat([dets_lo, dets_hi])
     kept = merged.select(np.flatnonzero(merged.confidence >= conf_threshold))
     if nms_iou is not None:
-        kept = as_detections(nms(kept, nms_iou))
+        kept = kept.select(nms(kept, nms_iou))
     return kept
 
 
@@ -243,36 +225,6 @@ def format_detections(detections) -> str:
         for d in detections
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_detections(text: str) -> list[Detection]:
-    """Read a dump written by `format_detections`.
-
-    A line with the wrong field count, a non-numeric field, a class id
-    outside CLASS_NAMES or a non-finite value raises ValueError naming it.
-    """
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-        try:
-            class_id = int(parts[0])
-            values = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not 0 <= class_id < len(CLASS_NAMES):
-            raise ValueError(
-                f"line {lineno}: class id {class_id} outside [0, {len(CLASS_NAMES)})"
-            )
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"line {lineno}: confidence and box must be finite")
-        conf, cx, cy, w, h = values
-        out.append(Detection(BBox(cx, cy, w, h), class_id, conf))
-    return out
 
 
 # The anchor sizes a float32 table holds as finite, positive (normal) numbers.

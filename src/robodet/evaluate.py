@@ -19,7 +19,7 @@ import numpy as np
 from . import data as data_mod
 from . import detect as detect_mod
 from . import model as model_mod
-from .detect import Detections, as_detections, iou_matrix
+from .detect import Detections, iou_matrix
 from .model import CLASS_NAMES
 
 DEFAULT_IOU_SWEEP = (0.75, 0.5, 0.25, 0.1, 0.05)
@@ -59,18 +59,17 @@ class EvalReport:
         return float(np.mean(defined)) if defined else 0.0
 
 
-def match(dets, gts, crit: MatchCriterion) -> np.ndarray:
+def match(dets: Detections, gts, crit: MatchCriterion) -> np.ndarray:
     """Per-detection TP flags (aligned with the input order) for one image.
 
-    ``dets`` is `Detections` or a sequence of `Detection`; ``gts`` is a
-    sequence of (class_id, BBox).  One score matrix holds every (detection,
-    ground truth) pair: the IoU, bitwise equal to `iou` for finite boxes, or
-    the negated center distance in pixels.  The distance comes from
-    ``np.hypot``, which can differ from ``math.hypot`` in the last ulp, so a
-    flag can differ from a ``math.hypot`` matcher only where a distance lies
-    within one ulp of the threshold or of another ground truth's distance.
+    ``gts`` is a sequence of (class_id, BBox).  One score matrix holds every
+    (detection, ground truth) pair: the IoU, bitwise equal to `iou` for
+    finite boxes, or the negated center distance in pixels.  The distance
+    comes from ``np.hypot``, which can differ from ``math.hypot`` in the
+    last ulp, so a flag can differ from a ``math.hypot`` matcher only where
+    a distance lies within one ulp of the threshold or of another ground
+    truth's distance.
     """
-    dets = as_detections(dets)
     flags = np.zeros(len(dets), dtype=bool)
     if len(dets) == 0 or len(gts) == 0:
         return flags
@@ -126,12 +125,11 @@ def average_precision(confidences, tp_flags, n_gt: int) -> float | None:
 def evaluate_detections(per_image_dets, per_image_gts, criteria) -> list[EvalReport]:
     """Score fixed detections against ground truth under each criterion.
 
-    per_image_dets: list over images of `Detections` (or `Detection`
-    lists); per_image_gts: matching list of (class_id, BBox) lists.
+    per_image_dets: list over images of `Detections`; per_image_gts:
+    matching list of (class_id, BBox) lists.
     """
     if len(per_image_dets) != len(per_image_gts):
         raise ValueError("detections and ground truth must cover the same images")
-    per_image_dets = [as_detections(d) for d in per_image_dets]
     # Image order, then detection order: AP's stable sort keeps equal
     # confidences of one class in this order.
     dets = Detections.concat(per_image_dets)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from robodet.detect import Detections
+
 
 @pytest.fixture
 def rng():
@@ -19,6 +21,16 @@ def flip_bytes(raw: bytes, flips) -> bytes:
     for pos, value in flips:
         out[pos] = value
     return bytes(out)
+
+
+def to_detections(dets) -> Detections:
+    """A sequence of `Detection` as the `Detections` table that `postprocess`,
+    `nms`, `match` and `evaluate_detections` take."""
+    dets = list(dets)
+    values = np.array(
+        [(d.confidence, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets], dtype=np.float64
+    ).reshape(-1, 5)
+    return Detections(np.array([d.class_id for d in dets], dtype=np.int64), *values.T)
 
 
 def naive_conv2d(x, weights, bias, stride, padding):

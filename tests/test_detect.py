@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import to_detections
 from robodet.detect import (
     BBox,
     Detection,
     Detections,
-    as_detections,
     compute_anchors,
     decode,
     decode_network_output,
@@ -21,7 +21,6 @@ from robodet.detect import (
     iou_matrix,
     load_anchors,
     nms,
-    parse_detections,
     postprocess,
     save_anchors,
     sigmoid,
@@ -180,7 +179,7 @@ class TestDecode:
     def test_zero_offsets_center_of_cell(self):
         raw = np.zeros((1, 10, 6, 8), dtype=np.float32)
         dets = decode(raw, HEAD_LO, make_anchors(), (6, 8))
-        first = dets[0]
+        first = list(dets)[0]
         assert first.box.cx == pytest.approx(0.5 / 8)
         assert first.box.cy == pytest.approx(0.5 / 6)
 
@@ -200,7 +199,7 @@ class TestDecode:
     def test_matches_per_cell_scalar_oracle(self, rng):
         anchors = make_anchors()
         raw = rng.normal(0, 1.5, (1, 10, 6, 8)).astype(np.float32)
-        dets = decode(raw, HEAD_LO, anchors, (6, 8))
+        dets = list(decode(raw, HEAD_LO, anchors, (6, 8)))
         idx = 0
         for slot in range(2):
             for i in range(6):
@@ -335,13 +334,13 @@ def nms_oracle(dets, thr):
 
 class TestPostprocess:
     def test_all_below_threshold(self):
-        dets = [Detection(BBox(0.5, 0.5, 0.1, 0.1), 0, 0.0) for _ in range(5)]
-        assert len(postprocess(dets, [], conf_threshold=0.5)) == 0
+        dets = to_detections([Detection(BBox(0.5, 0.5, 0.1, 0.1), 0, 0.0) for _ in range(5)])
+        assert len(postprocess(dets, to_detections([]), conf_threshold=0.5)) == 0
 
     def test_identical_boxes_nms(self):
         b = BBox(0.5, 0.5, 0.2, 0.2)
-        dets = [Detection(b, 1, 0.9), Detection(b, 1, 0.8)]
-        out = postprocess(dets, [], conf_threshold=0.1, nms_iou=0.5)
+        dets = to_detections([Detection(b, 1, 0.9), Detection(b, 1, 0.8)])
+        out = list(postprocess(dets, to_detections([]), conf_threshold=0.1, nms_iou=0.5))
         assert len(out) == 1
         assert out[0].confidence == 0.9
 
@@ -354,9 +353,8 @@ class TestPostprocess:
             )
             for _ in range(20)
         ]
-        got = nms(dets, 0.5)
-        want = nms_oracle(dets, 0.5)
-        assert {id(d) for d in got} == {id(d) for d in want}
+        got = [dets[i] for i in nms(to_detections(dets), 0.5)]
+        assert got == nms_oracle(dets, 0.5)
 
     def test_output_subset_and_threshold(self, rng):
         dets = [
@@ -367,33 +365,30 @@ class TestPostprocess:
             )
             for _ in range(30)
         ]
-        out = postprocess(dets[:15], dets[15:], conf_threshold=0.3, nms_iou=0.6)
+        out = postprocess(to_detections(dets[:15]), to_detections(dets[15:]),
+                          conf_threshold=0.3, nms_iou=0.6)
         assert all(d in dets for d in out)
         assert all(d.confidence >= 0.3 for d in out)
 
     def test_no_nms_keeps_duplicates(self):
         b = BBox(0.5, 0.5, 0.2, 0.2)
-        dets = [Detection(b, 1, 0.9), Detection(b, 1, 0.8)]
-        assert len(postprocess(dets, [], conf_threshold=0.1)) == 2
+        dets = to_detections([Detection(b, 1, 0.9), Detection(b, 1, 0.8)])
+        assert len(postprocess(dets, to_detections([]), conf_threshold=0.1)) == 2
 
 
 class TestDumpFormat:
-    def test_round_trip(self):
-        dets = [
+    def test_exact_text(self):
+        dets = to_detections([
             Detection(BBox(0.5, 0.25, 0.125, 0.0625), 2, 0.875),
             Detection(BBox(0.1, 0.9, 0.05, 0.05), 0, 0.125),
-        ]
-        text = format_detections(dets)
-        lines = text.strip().splitlines()
-        assert lines[0] == "2 0.875000 0.500000 0.250000 0.125000 0.062500"
-        parsed = parse_detections(text)
-        assert len(parsed) == 2
-        assert parsed[0].class_id == 2
-        assert parsed[0].confidence == pytest.approx(0.875)
+        ])
+        assert format_detections(dets) == (
+            "2 0.875000 0.500000 0.250000 0.125000 0.062500\n"
+            "0 0.125000 0.100000 0.900000 0.050000 0.050000\n"
+        )
 
     def test_empty(self):
         assert format_detections([]) == ""
-        assert parse_detections("") == []
 
 
 # ---------------------------------------------------------------------------
@@ -476,22 +471,15 @@ def head_outputs(draw, coarse=False):
 
 
 class TestDetectionsContainer:
-    def make(self):
-        return as_detections([
+    def test_len_and_iteration_yield_detections(self):
+        want = [
             Detection(BBox(0.5, 0.25, 0.125, 0.0625), 2, 0.875),
             Detection(BBox(0.1, 0.9, 0.05, 0.05), 0, 0.125),
-        ])
-
-    def test_len_index_and_iteration_yield_detections(self):
-        dets = self.make()
+        ]
+        dets = to_detections(want)
         assert len(dets) == 2
-        assert dets[0] == Detection(BBox(0.5, 0.25, 0.125, 0.0625), 2, 0.875)
-        assert dets[-1] == list(dets)[1]
-        assert type(dets[1].class_id) is int
-
-    def test_slice_is_not_an_integer_index(self):
-        with pytest.raises(TypeError):
-            self.make()[0:1]
+        assert list(dets) == want
+        assert all(type(d.class_id) is int for d in dets)
 
     def test_empty(self):
         dets = Detections.concat([])
@@ -516,15 +504,12 @@ class TestArrayPathMatchesObjectPath:
         st.one_of(st.sampled_from([0.0, float(sigmoid(0.0)), float(sigmoid(0.5)), 1.0]),
                   st.floats(0.0, 1.0)),
         st.one_of(st.none(), st.floats(0.01, 1.0)),
-        st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_postprocess_bitwise(self, lo_case, hi_case, conf, nms_iou, as_lists):
+    def test_postprocess_bitwise(self, lo_case, hi_case, conf, nms_iou):
         lo, hi = (decode(raw, head, anchors, grid)
                   for head, grid, raw, anchors in (lo_case, hi_case))
         want = postprocess_reference(list(lo), list(hi), conf, nms_iou)
-        if as_lists:
-            lo, hi = list(lo), list(hi)
         assert_same_detections(postprocess(lo, hi, conf, nms_iou), want)
 
     @pytest.mark.parametrize("nms_iou", [None, 0.5])
@@ -544,6 +529,33 @@ class TestArrayPathMatchesObjectPath:
         conf = float(np.median([d.confidence for d in want_lo + want_hi]))
         assert_same_detections(postprocess(lo, hi, conf, nms_iou),
                                postprocess_reference(want_lo, want_hi, conf, nms_iou))
+
+    def test_postprocess_builds_no_detection(self, rng, monkeypatch):
+        spec = build_robo(1)
+        net = init_network(spec, seed=3)
+        net.anchors = make_anchors()
+        x = rng.normal(0, 1, (1, 3, *spec.input_hw)).astype(np.float32)
+        lo, hi = decode_network_output(*forward(net, x), spec, net.anchors)
+        conf = float(np.median(np.concatenate([lo.confidence, hi.confidence])))
+        want = postprocess_reference(list(lo), list(hi), conf, 0.5)
+        kept = postprocess(lo, hi, conf)
+        objects = list(kept)
+        position = {id(d): i for i, d in enumerate(objects)}
+        want_index = [position[id(d)] for d in nms_reference(objects, 0.5)]
+
+        def no_detection(*args):
+            raise AssertionError("postprocess built a Detection")
+
+        monkeypatch.setattr("robodet.detect.Detection", no_detection)
+        got = postprocess(lo, hi, conf, 0.5)
+        index = nms(kept, 0.5)
+        monkeypatch.undo()
+        assert 0 < len(got) < len(kept)
+        assert_same_detections(got, want)
+        assert index.dtype == np.intp and index.tolist() == want_index
+        # Class by class, each class in descending confidence.
+        keys = list(zip(kept.class_id[index].tolist(), (-kept.confidence[index]).tolist()))
+        assert keys == sorted(keys)
 
 
 coarse_box = st.builds(
@@ -573,41 +585,3 @@ class TestIouMatrix:
         a = np.array([[0.25], [0.5], [0.5], [1.0]])
         b = np.array([[0.75], [0.5], [0.5], [1.0]])
         assert iou_matrix(a, b).tolist() == [[0.0]]
-
-
-class TestParseValidation:
-    @pytest.mark.parametrize("line", [
-        "4 0.5 0.5 0.5 0.1 0.1",
-        "7 0.5 0.5 0.5 0.1 0.1",
-        "-1 0.5 0.5 0.5 0.1 0.1",
-        "0 nan 0.5 0.5 0.1 0.1",
-        "0 0.5 inf 0.5 0.1 0.1",
-        "0 0.5 0.5 0.5 -inf 0.1",
-        "x 0.5 0.5 0.5 0.1 0.1",
-        "0 0.5 0.5 0.5 0.1 y",
-    ])
-    def test_bad_line_names_its_number(self, line):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_detections("1 0.5 0.5 0.5 0.1 0.1\n" + line + "\n")
-
-    @given(st.text(max_size=60))
-    @settings(max_examples=300, deadline=None)
-    def test_random_text_raises_only_value_error(self, text):
-        try:
-            dets = parse_detections(text)
-        except ValueError:
-            return
-        for d in dets:
-            assert 0 <= d.class_id < len(CLASS_NAMES)
-            assert all(math.isfinite(v) for v in (d.confidence, d.box.cx, d.box.cy,
-                                                  d.box.w, d.box.h))
-
-    @given(st.integers(0, 3), st.lists(st.floats(allow_nan=False), min_size=5, max_size=5),
-           st.integers(0, 60))
-    @settings(max_examples=300, deadline=None)
-    def test_truncated_line_raises_only_value_error(self, class_id, values, cut):
-        line = " ".join([str(class_id)] + [repr(v) for v in values])
-        try:
-            parse_detections(line[:cut])
-        except ValueError:
-            pass

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robodet.detect import BBox, Detection, as_detections, iou
+from conftest import to_detections
+from robodet.detect import BBox, Detection, iou
 from robodet.evaluate import (
     DEFAULT_DISTANCE_SWEEP,
     DEFAULT_IOU_SWEEP,
@@ -59,19 +60,19 @@ def match_oracle(dets, gts, crit):
 class TestMatch:
     def test_exact_match_is_tp(self):
         gts = [(0, BBox(0.5, 0.5, 0.2, 0.2))]
-        dets = [det(0.5, 0.5, 0.2, 0.2, 0, 0.9)]
+        dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9)])
         flags = match(dets, gts, MatchCriterion("iou", 0.5))
         assert flags.tolist() == [True]
 
     def test_single_match_rule(self):
         gts = [(0, BBox(0.5, 0.5, 0.2, 0.2))]
-        dets = [det(0.5, 0.5, 0.2, 0.2, 0, 0.9), det(0.5, 0.5, 0.2, 0.2, 0, 0.8)]
+        dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9), det(0.5, 0.5, 0.2, 0.2, 0, 0.8)])
         flags = match(dets, gts, MatchCriterion("iou", 0.5))
         assert flags.tolist() == [True, False]
 
     def test_class_must_agree(self):
         gts = [(1, BBox(0.5, 0.5, 0.2, 0.2))]
-        dets = [det(0.5, 0.5, 0.2, 0.2, 0, 0.9)]
+        dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9)])
         assert match(dets, gts, MatchCriterion("iou", 0.5)).tolist() == [False]
 
     @pytest.mark.parametrize("kind,thr", [("iou", 0.3), ("center_distance", 40.0)])
@@ -88,13 +89,13 @@ class TestMatch:
                  BBox(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.05, 0.3, 2)))
                 for _ in range(5)
             ]
-            assert match(dets, gts, crit).tolist() == match_oracle(dets, gts, crit)
+            assert match(to_detections(dets), gts, crit).tolist() == match_oracle(dets, gts, crit)
 
     def test_distance_ignores_box_size(self, rng):
         crit = MatchCriterion("center_distance", 16.0, IMG)
         gts = [(0, BBox(0.5, 0.5, 0.1, 0.1))]
-        base = [det(0.51, 0.5, 0.1, 0.1, 0, 0.9)]
-        resized = [det(0.51, 0.5, 0.7, 0.33, 0, 0.9)]
+        base = to_detections([det(0.51, 0.5, 0.1, 0.1, 0, 0.9)])
+        resized = to_detections([det(0.51, 0.5, 0.7, 0.33, 0, 0.9)])
         assert match(base, gts, crit).tolist() == match(resized, gts, crit).tolist()
 
 
@@ -168,7 +169,7 @@ class TestEvaluateDetections:
                 for _ in range(int(rng.integers(1, 5)))
             ]
             per_gts.append(gts)
-            per_dets.append([Detection(b, c, 1.0) for c, b in gts])
+            per_dets.append(to_detections([Detection(b, c, 1.0) for c, b in gts]))
         reports = evaluate_detections(per_dets, per_gts, default_criteria(IMG))
         assert len(reports) == 10
         for r in reports:
@@ -189,7 +190,7 @@ class TestEvaluateDetections:
                  BBox(*rng.uniform(0.3, 0.7, 2), *rng.uniform(0.05, 0.2, 2)))
                 for _ in range(int(rng.integers(1, 4)))
             ]
-            dets = [
+            dets = to_detections([
                 det(
                     min(max(b.cx + rng.normal(0, 0.03), 0), 1),
                     min(max(b.cy + rng.normal(0, 0.03), 0), 1),
@@ -198,7 +199,7 @@ class TestEvaluateDetections:
                     c, float(rng.uniform(0.2, 1.0)),
                 )
                 for c, b in gts
-            ]
+            ])
             per_gts.append(gts)
             per_dets.append(dets)
         reports = evaluate_detections(per_dets, per_gts, default_criteria(IMG))
@@ -209,14 +210,14 @@ class TestEvaluateDetections:
 
     def test_tp_bounded_by_gt_count(self, rng):
         gts = [(0, BBox(0.5, 0.5, 0.2, 0.2))]
-        dets = [det(0.5, 0.5, 0.2, 0.2, 0, c / 10) for c in range(1, 8)]
+        dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, c / 10) for c in range(1, 8)])
         reports = evaluate_detections([dets], [gts], [MatchCriterion("iou", 0.1)])
         tp, fp, fn = reports[0].counts[0]
         assert tp == 1 and fp == 6 and fn == 0
 
     def test_zero_gt_class_warns_and_excluded(self, rng):
         gts = [[(0, BBox(0.5, 0.5, 0.2, 0.2))]]
-        dets = [[det(0.5, 0.5, 0.2, 0.2, 0, 0.9)]]
+        dets = [to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9)])]
         with pytest.warns(UserWarning, match="no ground truth"):
             reports = evaluate_detections(dets, gts, [MatchCriterion("iou", 0.5)])
         assert reports[0].ap[1] is None
@@ -224,7 +225,7 @@ class TestEvaluateDetections:
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            evaluate_detections([[]], [[], []], [MatchCriterion("iou", 0.5)])
+            evaluate_detections([to_detections([])], [[], []], [MatchCriterion("iou", 0.5)])
 
 
 class TestCriterionValidation:
@@ -245,7 +246,7 @@ def test_report_csv_layout(tmp_path):
     crits = [MatchCriterion("iou", 0.5), MatchCriterion("center_distance", 16.0, IMG)]
     gts = [[(0, BBox(0.5, 0.5, 0.2, 0.2)), (1, BBox(0.2, 0.2, 0.1, 0.1)),
             (2, BBox(0.8, 0.2, 0.1, 0.2)), (3, BBox(0.2, 0.8, 0.2, 0.2))]]
-    dets = [[Detection(b, c, 1.0) for c, b in gts[0]]]
+    dets = [to_detections([Detection(b, c, 1.0) for c, b in gts[0]])]
     reports = evaluate_detections(dets, gts, crits)
     path = tmp_path / "report.csv"
     write_report_csv(path, [("robo", reports), ("robo_hr", reports)])
@@ -360,11 +361,11 @@ def hypot_differs(per_image_dets, per_image_gts, criteria):
 
 
 class TestMatrixMatchesPairLoop:
-    @given(image, st.sampled_from(SMALL_CRITERIA), st.booleans())
+    @given(image, st.sampled_from(SMALL_CRITERIA))
     @settings(max_examples=300, deadline=None)
-    def test_match_flags(self, img, crit, as_arrays):
+    def test_match_flags(self, img, crit):
         dets, gts = img
-        got = match(as_detections(dets) if as_arrays else dets, gts, crit)
+        got = match(to_detections(dets), gts, crit)
         assert got.dtype == bool and got.shape == (len(dets),)
         # Exactly the pair loop run with the matrix's hypot ...
         assert got.tolist() == match_reference(dets, gts, crit, np_hypot).tolist()
@@ -378,15 +379,16 @@ class TestMatrixMatchesPairLoop:
         touching = BBox(0.75, 0.5, 0.5, 1.0)
         dets = [Detection(a, 0, 0.5), Detection(a, 0, 0.5), Detection(touching, 0, 0.9)]
         for gts in ([], [(0, a), (0, a)], [(0, touching)], [(1, a)]):
-            assert match(dets, gts, crit).tolist() == match_reference(dets, gts, crit).tolist()
-            assert match([], gts, crit).tolist() == []
+            got = match(to_detections(dets), gts, crit)
+            assert got.tolist() == match_reference(dets, gts, crit).tolist()
+            assert match(to_detections([]), gts, crit).tolist() == []
 
     def test_coincident_ground_truths_go_to_the_lower_index(self):
         # Equal scores: each detection takes the lowest free ground truth,
         # so both are claimed and both detections are true positives.
         b = BBox(0.5, 0.5, 0.2, 0.2)
-        flags = match([Detection(b, 0, 0.9), Detection(b, 0, 0.8)], [(0, b), (0, b)],
-                      MatchCriterion("iou", 0.5))
+        dets = to_detections([Detection(b, 0, 0.9), Detection(b, 0, 0.8)])
+        flags = match(dets, [(0, b), (0, b)], MatchCriterion("iou", 0.5))
         assert flags.tolist() == [True, True]
 
     @pytest.mark.parametrize("crit", [MatchCriterion("iou", 0.5),
@@ -399,18 +401,18 @@ class TestMatrixMatchesPairLoop:
         gts = [(0, BBox(0.375, 0.5, 0.5, 0.5)), (0, BBox(0.625, 0.5, 0.5, 0.5))]
         dets = [Detection(BBox(0.5, 0.5, 0.5, 0.5), 0, 0.9),
                 Detection(BBox(0.25, 0.5, 0.5, 0.5), 0, 0.8)]
-        assert match(dets, gts, crit).tolist() == [True, False]
+        assert match(to_detections(dets), gts, crit).tolist() == [True, False]
         assert match_reference(dets, gts, crit).tolist() == [True, False]
 
-    @given(st.lists(image, max_size=4), st.booleans())
+    @given(st.lists(image, max_size=4))
     @settings(max_examples=200, deadline=None)
-    def test_evaluate_detections_aps_and_counts(self, images, as_arrays):
+    def test_evaluate_detections_aps_and_counts(self, images):
         per_dets = [dets for dets, _ in images]
         per_gts = [gts for _, gts in images]
-        given_dets = [as_detections(d) for d in per_dets] if as_arrays else per_dets
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = evaluate_detections(given_dets, per_gts, SMALL_CRITERIA)
+            got = evaluate_detections([to_detections(d) for d in per_dets], per_gts,
+                                      SMALL_CRITERIA)
             wants = [evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA, np_hypot)]
             if not hypot_differs(per_dets, per_gts, SMALL_CRITERIA):
                 wants.append(evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA))
@@ -425,7 +427,8 @@ class TestMatrixMatchesPairLoop:
         per_gts = [gts for _, gts in images]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            reports = evaluate_detections(per_dets, per_gts, SMALL_CRITERIA)
+            reports = evaluate_detections([to_detections(d) for d in per_dets], per_gts,
+                                          SMALL_CRITERIA)
             want = evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA, np_hypot)
         path = tmp_path_factory.mktemp("per_class") / "classes.csv"
         write_per_class_csv(path, "robo", reports)
