@@ -347,7 +347,7 @@ def cmd_eval(args) -> int:
         eval_mod.write_report_csv(args.out, rows)
         print(f"report -> {args.out}")
     if args.per_class:
-        eval_mod.write_per_class_csv(args.per_class, rows[0][0], rows[0][1])
+        eval_mod.write_per_class_csv(args.per_class, rows)
         print(f"per-class report -> {args.per_class}")
     return 0
 

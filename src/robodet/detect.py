@@ -113,10 +113,11 @@ def decode(raw: np.ndarray, head: HeadSpec, anchors: np.ndarray, grid) -> Detect
         )
     owned = list(head.classes_owned)
     t = raw[0].astype(np.float64).reshape(len(owned), 5, gh, gw)
-    cx = (np.arange(gw) + sigmoid(t[:, 0])) / gw
-    cy = (np.arange(gh)[:, None] + sigmoid(t[:, 1])) / gh
+    s = sigmoid(t)  # one call for the offsets and the objectness
+    cx = (np.arange(gw) + s[:, 0]) / gw
+    cy = (np.arange(gh)[:, None] + s[:, 1]) / gh
     wh = anchors[owned][:, :, None, None] * np.exp(t[:, 2:4])
-    conf = sigmoid(t[:, 4])
+    conf = s[:, 4]
     return Detections(
         np.repeat(np.array(owned, dtype=np.int64), gh * gw),
         conf.ravel(), cx.ravel(), cy.ravel(), wh[:, 0].ravel(), wh[:, 1].ravel(),

@@ -59,58 +59,70 @@ class EvalReport:
         return float(np.mean(defined)) if defined else 0.0
 
 
-def match(dets: Detections, gts, crit: MatchCriterion) -> np.ndarray:
-    """Per-detection TP flags (aligned with the input order) for one image.
+def _score_matrix(dets: Detections, gt: np.ndarray, crit: MatchCriterion) -> np.ndarray:
+    """The (detection, ground truth) scores of one criterion kind: the IoU,
+    or the negated center distance in pixels, so that higher is better."""
+    if crit.kind == "iou":
+        return iou_matrix((dets.cx, dets.cy, dets.w, dets.h), gt[1:])
+    w, h = crit.image_size
+    return -np.hypot((dets.cx[:, None] - gt[1]) * w, (dets.cy[:, None] - gt[2]) * h)
 
-    ``gts`` is a sequence of (class_id, BBox).  One score matrix holds every
-    (detection, ground truth) pair: the IoU, bitwise equal to `iou` for
-    finite boxes, or the negated center distance in pixels.  The distance
-    comes from ``np.hypot``, which can differ from ``math.hypot`` in the
-    last ulp, so a flag can differ from a ``math.hypot`` matcher only where
-    a distance lies within one ulp of the threshold or of another ground
-    truth's distance.
+
+def match(dets: Detections, gts, criteria) -> np.ndarray:
+    """Per-detection TP flags for one image, one row per criterion, columns
+    aligned with the input order.
+
+    ``gts`` is a sequence of (class_id, BBox).  One score matrix per kind
+    (and image size, for distances) holds every (detection, ground truth)
+    pair and serves every threshold of that kind: the IoU, bitwise equal to
+    `iou` for finite boxes, or the negated center distance in pixels.  The
+    distance comes from ``np.hypot``, which can differ from ``math.hypot``
+    in the last ulp, so a flag can differ from a ``math.hypot`` matcher only
+    where a distance lies within one ulp of the threshold or of another
+    ground truth's distance.
     """
-    flags = np.zeros(len(dets), dtype=bool)
+    flags = np.zeros((len(criteria), len(dets)), dtype=bool)
     if len(dets) == 0 or len(gts) == 0:
         return flags
     gt = np.array([(c, b.cx, b.cy, b.w, b.h) for c, b in gts], dtype=np.float64).T
-    if crit.kind == "iou":
-        score = iou_matrix((dets.cx, dets.cy, dets.w, dets.h), gt[1:])
-        ok = score >= crit.threshold
-    else:
-        w, h = crit.image_size
-        dist = np.hypot((dets.cx[:, None] - gt[1]) * w, (dets.cy[:, None] - gt[2]) * h)
-        ok = dist <= crit.threshold
-        score = -dist
-    ok &= dets.class_id[:, None] == gt[0]
     # Rows in descending confidence; a claimed ground truth's column is
     # knocked out to -inf, so argmax picks the best free one, lowest index
     # first on ties.
     order = np.argsort(-dets.confidence, kind="stable")
-    score = np.where(ok, score, -np.inf)[order]
-    unclaimed = np.count_nonzero(ok.any(axis=0))
-    for r in np.flatnonzero(ok.any(axis=1)[order]):
-        g = score[r].argmax()
-        if score[r, g] == -np.inf:
-            continue
-        flags[order[r]] = True
-        score[:, g] = -np.inf
-        unclaimed -= 1
-        if unclaimed == 0:
-            break
+    same_class = (dets.class_id[:, None] == gt[0])[order]
+    scores = {}
+    for row, crit in zip(flags, criteria):
+        # A pair qualifies at a score of at least `bound`.
+        if crit.kind == "iou":
+            key, bound = "iou", crit.threshold
+        else:
+            key, bound = crit.image_size, -crit.threshold
+        if key not in scores:
+            scores[key] = _score_matrix(dets, gt, crit)[order]
+        score = scores[key]
+        ok = (score >= bound) & same_class
+        score = np.where(ok, score, -np.inf)
+        unclaimed = np.count_nonzero(ok.any(axis=0))
+        for r in np.flatnonzero(ok.any(axis=1)):
+            g = score[r].argmax()
+            if score[r, g] == -np.inf:
+                continue
+            row[order[r]] = True
+            score[:, g] = -np.inf
+            unclaimed -= 1
+            if unclaimed == 0:
+                break
     return flags
 
 
-def average_precision(confidences, tp_flags, n_gt: int) -> float | None:
-    """All-point interpolated AP for one class over the whole dataset."""
+def average_precision(tp_flags, n_gt: int) -> float | None:
+    """All-point interpolated AP for one class over the whole dataset, from
+    its detections' TP flags in descending confidence."""
     if n_gt == 0:
         return None
-    confidences = np.asarray(confidences, dtype=np.float64)
-    tp_flags = np.asarray(tp_flags, dtype=bool)
-    if confidences.size == 0:
+    tp = np.asarray(tp_flags, dtype=bool)
+    if tp.size == 0:
         return 0.0
-    order = np.argsort(-confidences, kind="stable")
-    tp = tp_flags[order]
     ctp = np.cumsum(tp)
     cfp = np.cumsum(~tp)
     recall = ctp / n_gt
@@ -130,28 +142,34 @@ def evaluate_detections(per_image_dets, per_image_gts, criteria) -> list[EvalRep
     """
     if len(per_image_dets) != len(per_image_gts):
         raise ValueError("detections and ground truth must cover the same images")
-    # Image order, then detection order: AP's stable sort keeps equal
-    # confidences of one class in this order.
     dets = Detections.concat(per_image_dets)
-    class_masks = [dets.class_id == c for c in range(len(CLASS_NAMES))]
+    flags = np.concatenate(
+        [np.zeros((len(criteria), 0), dtype=bool)]
+        + [match(d, g, criteria) for d, g in zip(per_image_dets, per_image_gts)],
+        axis=1,
+    )
+    # Each class's entries in descending confidence.  The sort is stable
+    # over the concatenation, so equal confidences stay in image order, then
+    # detection order.
+    ranked = []
+    for c in range(len(CLASS_NAMES)):
+        idx = np.flatnonzero(dets.class_id == c)
+        ranked.append(idx[np.argsort(-dets.confidence[idx], kind="stable")])
     n_gt = Counter(c for gts in per_image_gts for c, _ in gts)
     reports = []
-    for crit in criteria:
-        flags = np.concatenate(
-            [np.zeros(0, dtype=bool)]
-            + [match(d, g, crit) for d, g in zip(per_image_dets, per_image_gts)]
-        )
+    for crit, crit_flags in zip(criteria, flags):
         ap = {}
         counts = {}
-        for c, mask in enumerate(class_masks):
-            ap[c] = average_precision(dets.confidence[mask], flags[mask], n_gt[c])
+        for c, idx in enumerate(ranked):
+            tp_flags = crit_flags[idx]
+            ap[c] = average_precision(tp_flags, n_gt[c])
             if ap[c] is None:
                 warnings.warn(
                     f"class '{CLASS_NAMES[c]}' has no ground truth; "
                     f"excluded from mAP under {crit.label}"
                 )
-            tp = int(np.count_nonzero(flags[mask]))
-            counts[c] = (tp, int(np.count_nonzero(mask)) - tp, n_gt[c] - tp)
+            tp = int(np.count_nonzero(tp_flags))
+            counts[c] = (tp, len(idx) - tp, n_gt[c] - tp)
         reports.append(EvalReport(crit, ap, counts))
     return reports
 
@@ -201,14 +219,17 @@ def write_report_csv(path, rows) -> None:
             writer.writerow([name] + [f"{r.map:.4f}" for r in reports])
 
 
-def write_per_class_csv(path, model_name, reports) -> None:
-    """One row per criterion: each class's AP, the mAP, then each class's
-    tp, fp and fn counts."""
+def write_per_class_csv(path, rows) -> None:
+    """rows: list of (model_name, list[EvalReport]); one CSV row per model
+    and criterion: each class's AP, the mAP, then each class's tp, fp and
+    fn counts."""
     count_cols = [f"{n}_{k}" for n in CLASS_NAMES for k in ("tp", "fp", "fn")]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["model", "criterion"] + list(CLASS_NAMES) + ["mAP"] + count_cols)
-        for r in reports:
-            cells = ["" if r.ap[c] is None else f"{r.ap[c]:.4f}" for c in range(len(CLASS_NAMES))]
-            counts = [n for c in range(len(CLASS_NAMES)) for n in r.counts[c]]
-            writer.writerow([model_name, r.criterion.label] + cells + [f"{r.map:.4f}"] + counts)
+        for name, reports in rows:
+            for r in reports:
+                cells = ["" if r.ap[c] is None else f"{r.ap[c]:.4f}"
+                         for c in range(len(CLASS_NAMES))]
+                counts = [n for c in range(len(CLASS_NAMES)) for n in r.counts[c]]
+                writer.writerow([name, r.criterion.label] + cells + [f"{r.map:.4f}"] + counts)

@@ -517,6 +517,24 @@ class TestTrainCli:
             for c, name in enumerate(CLASS_NAMES):
                 assert tuple(int(row[f"{name}_{k}"]) for k in ("tp", "fp", "fn")) == r.counts[c]
 
+    def test_eval_per_class_covers_every_model(self, toy_dir, weights_file, tmp_path):
+        second = tmp_path / "m2.rbw"
+        save_weights(init_network(build_robo(1), seed=1), second)
+        path = tmp_path / "classes.csv"
+        assert main(["eval", "--data", str(toy_dir), "--weights", str(weights_file),
+                     str(second), "--per-class", str(path)]) == 0
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        index = load_index(toy_dir)
+        want = [(name, r) for name, w in (("net", weights_file), ("m2", second))
+                for r in evaluate(load_weights(w), index)]
+        assert [(row["model"], row["criterion"]) for row in rows] == [
+            (name, r.criterion.label) for name, r in want]
+        for row, (_, r) in zip(rows, want):
+            assert row["mAP"] == f"{r.map:.4f}"
+            for c, name in enumerate(CLASS_NAMES):
+                assert tuple(int(row[f"{name}_{k}"]) for k in ("tp", "fp", "fn")) == r.counts[c]
+
     def test_ops_counts_the_weight_file(self, tmp_path, capsys):
         net = init_network(build_robo_bn(1), seed=0)
         prune(net, 0.3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import to_detections
+import robodet.evaluate
 from robodet.detect import BBox, Detection, iou
 from robodet.evaluate import (
     DEFAULT_DISTANCE_SWEEP,
@@ -61,19 +62,19 @@ class TestMatch:
     def test_exact_match_is_tp(self):
         gts = [(0, BBox(0.5, 0.5, 0.2, 0.2))]
         dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9)])
-        flags = match(dets, gts, MatchCriterion("iou", 0.5))
+        flags = match(dets, gts, [MatchCriterion("iou", 0.5)])[0]
         assert flags.tolist() == [True]
 
     def test_single_match_rule(self):
         gts = [(0, BBox(0.5, 0.5, 0.2, 0.2))]
         dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9), det(0.5, 0.5, 0.2, 0.2, 0, 0.8)])
-        flags = match(dets, gts, MatchCriterion("iou", 0.5))
+        flags = match(dets, gts, [MatchCriterion("iou", 0.5)])[0]
         assert flags.tolist() == [True, False]
 
     def test_class_must_agree(self):
         gts = [(1, BBox(0.5, 0.5, 0.2, 0.2))]
         dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9)])
-        assert match(dets, gts, MatchCriterion("iou", 0.5)).tolist() == [False]
+        assert match(dets, gts, [MatchCriterion("iou", 0.5)])[0].tolist() == [False]
 
     @pytest.mark.parametrize("kind,thr", [("iou", 0.3), ("center_distance", 40.0)])
     def test_random_matches_oracle(self, rng, kind, thr):
@@ -89,14 +90,15 @@ class TestMatch:
                  BBox(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.05, 0.3, 2)))
                 for _ in range(5)
             ]
-            assert match(to_detections(dets), gts, crit).tolist() == match_oracle(dets, gts, crit)
+            got = match(to_detections(dets), gts, [crit])[0]
+            assert got.tolist() == match_oracle(dets, gts, crit)
 
     def test_distance_ignores_box_size(self, rng):
         crit = MatchCriterion("center_distance", 16.0, IMG)
         gts = [(0, BBox(0.5, 0.5, 0.1, 0.1))]
         base = to_detections([det(0.51, 0.5, 0.1, 0.1, 0, 0.9)])
         resized = to_detections([det(0.51, 0.5, 0.7, 0.33, 0, 0.9)])
-        assert match(base, gts, crit).tolist() == match(resized, gts, crit).tolist()
+        assert match(base, gts, [crit]).tolist() == match(resized, gts, [crit]).tolist()
 
 
 def average_precision_reference(confidences, tp_flags, n_gt):
@@ -121,6 +123,13 @@ def average_precision_reference(confidences, tp_flags, n_gt):
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
+def ranked(confidences, tp_flags):
+    """TP flags in descending confidence, ties in input order: the order in
+    which `average_precision` takes them."""
+    order = np.argsort(-np.asarray(confidences, dtype=np.float64), kind="stable")
+    return np.asarray(tp_flags, dtype=bool)[order]
+
+
 class TestAveragePrecision:
     @given(
         points=st.lists(st.tuples(st.integers(0, 8), st.booleans()), max_size=80),
@@ -132,29 +141,29 @@ class TestAveragePrecision:
         confs = [level / 8 for level, _ in points]
         flags = [flag for _, flag in points]
         n_gt = sum(flags) + extra_gt
-        got = average_precision(confs, flags, n_gt)
+        got = average_precision(ranked(confs, flags), n_gt)
         want = average_precision_reference(confs, flags, n_gt)
         assert got == want
 
     def test_perfect_detector(self):
-        ap = average_precision([0.9, 0.8, 0.7], [True, True, True], 3)
+        ap = average_precision([True, True, True], 3)
         assert ap == pytest.approx(1.0)
 
     def test_no_detections(self):
-        assert average_precision([], [], 5) == 0.0
+        assert average_precision([], 5) == 0.0
 
     def test_tp_then_fp_half(self):
-        ap = average_precision([0.9, 0.8], [True, False], 2)
+        ap = average_precision([True, False], 2)
         assert ap == pytest.approx(0.5)
 
     def test_zero_gt_undefined(self):
-        assert average_precision([0.9], [False], 0) is None
+        assert average_precision([False], 0) is None
 
     def test_confidence_rescaling_invariance(self, rng):
         confs = rng.uniform(0.1, 0.9, 30)
         tps = rng.random(30) < 0.5
-        a = average_precision(confs, tps, 20)
-        b = average_precision(confs * 0.5 + 0.05, tps, 20)  # order-preserving
+        a = average_precision(ranked(confs, tps), 20)
+        b = average_precision(ranked(confs * 0.5 + 0.05, tps), 20)  # order-preserving
         assert a == pytest.approx(b)
 
 
@@ -258,7 +267,8 @@ def test_report_csv_layout(tmp_path):
 
 # ---------------------------------------------------------------------------
 # Frozen copies of the scalar pair-loop matcher and the dict-of-lists
-# evaluate_detections that the score-matrix path replaced.  ``hypot`` is
+# evaluate_detections (one criterion at a time, AP by the frozen
+# average_precision_reference) that the score-matrix path replaced.  ``hypot`` is
 # math.hypot in the original; the matrix path uses np.hypot, which may differ
 # in the last ulp.
 
@@ -307,7 +317,7 @@ def evaluate_detections_reference(per_image_dets, per_image_gts, criteria, hypot
         ap = {}
         counts = {}
         for c in range(len(CLASS_NAMES)):
-            ap[c] = average_precision(confs[c], tps[c], n_gt[c])
+            ap[c] = average_precision_reference(confs[c], tps[c], n_gt[c])
             tp = int(np.sum(tps[c])) if tps[c] else 0
             fp = len(tps[c]) - tp
             counts[c] = (tp, fp, n_gt[c] - tp)
@@ -360,12 +370,49 @@ def hypot_differs(per_image_dets, per_image_gts, criteria):
     return False
 
 
+# Criterion lists other than the default sweep: the kinds interleaved, with
+# a second image size for distances; one criterion repeated; one criterion
+# alone, as `map_at_distance` passes it.
+CRITERION_LISTS = {
+    "interleaved": [
+        MatchCriterion("center_distance", 16.0, SMALL_IMG),
+        MatchCriterion("iou", 0.5),
+        MatchCriterion("center_distance", 4.0, SMALL_IMG),
+        MatchCriterion("iou", 0.05),
+        MatchCriterion("center_distance", 8.0, (32, 24)),
+    ],
+    "repeated": [
+        MatchCriterion("iou", 0.25),
+        MatchCriterion("center_distance", 8.0, SMALL_IMG),
+        MatchCriterion("iou", 0.25),
+    ],
+    "alone": [MatchCriterion("center_distance", 16.0, SMALL_IMG)],
+}
+
+
+def assert_reports_match_reference(images, criteria):
+    """`evaluate_detections` gives the frozen reference's APs and counts bit
+    for bit: always with the matrix's hypot, and with math.hypot unless the
+    two hypots disagree on some pair."""
+    per_dets = [dets for dets, _ in images]
+    per_gts = [gts for _, gts in images]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = evaluate_detections([to_detections(d) for d in per_dets], per_gts, criteria)
+        wants = [evaluate_detections_reference(per_dets, per_gts, criteria, np_hypot)]
+        if not hypot_differs(per_dets, per_gts, criteria):
+            wants.append(evaluate_detections_reference(per_dets, per_gts, criteria))
+    for want in wants:
+        assert [r.ap for r in got] == [r.ap for r in want]
+        assert [r.counts for r in got] == [r.counts for r in want]
+
+
 class TestMatrixMatchesPairLoop:
     @given(image, st.sampled_from(SMALL_CRITERIA))
     @settings(max_examples=300, deadline=None)
     def test_match_flags(self, img, crit):
         dets, gts = img
-        got = match(to_detections(dets), gts, crit)
+        got = match(to_detections(dets), gts, [crit])[0]
         assert got.dtype == bool and got.shape == (len(dets),)
         # Exactly the pair loop run with the matrix's hypot ...
         assert got.tolist() == match_reference(dets, gts, crit, np_hypot).tolist()
@@ -373,22 +420,34 @@ class TestMatrixMatchesPairLoop:
         if not hypot_differs([dets], [gts], [crit]):
             assert got.tolist() == match_reference(dets, gts, crit).tolist()
 
+    @given(image, st.sampled_from(sorted(CRITERION_LISTS)))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_rows_equal_single_criterion_calls(self, img, name):
+        # Each row of a sweep is the flags of its criterion matched alone,
+        # whatever the criteria around it share.
+        dets, gts = img
+        criteria = SMALL_CRITERIA + CRITERION_LISTS[name]
+        got = match(to_detections(dets), gts, criteria)
+        assert got.dtype == bool and got.shape == (len(criteria), len(dets))
+        for row, crit in zip(got, criteria):
+            assert row.tolist() == match(to_detections(dets), gts, [crit])[0].tolist()
+
     @pytest.mark.parametrize("crit", SMALL_CRITERIA, ids=lambda c: c.label)
     def test_edge_cases(self, crit):
         a = BBox(0.25, 0.5, 0.5, 1.0)
         touching = BBox(0.75, 0.5, 0.5, 1.0)
         dets = [Detection(a, 0, 0.5), Detection(a, 0, 0.5), Detection(touching, 0, 0.9)]
         for gts in ([], [(0, a), (0, a)], [(0, touching)], [(1, a)]):
-            got = match(to_detections(dets), gts, crit)
+            got = match(to_detections(dets), gts, [crit])[0]
             assert got.tolist() == match_reference(dets, gts, crit).tolist()
-            assert match(to_detections([]), gts, crit).tolist() == []
+            assert match(to_detections([]), gts, [crit]).shape == (1, 0)
 
     def test_coincident_ground_truths_go_to_the_lower_index(self):
         # Equal scores: each detection takes the lowest free ground truth,
         # so both are claimed and both detections are true positives.
         b = BBox(0.5, 0.5, 0.2, 0.2)
         dets = to_detections([Detection(b, 0, 0.9), Detection(b, 0, 0.8)])
-        flags = match(dets, [(0, b), (0, b)], MatchCriterion("iou", 0.5))
+        flags = match(dets, [(0, b), (0, b)], [MatchCriterion("iou", 0.5)])[0]
         assert flags.tolist() == [True, True]
 
     @pytest.mark.parametrize("crit", [MatchCriterion("iou", 0.5),
@@ -401,24 +460,19 @@ class TestMatrixMatchesPairLoop:
         gts = [(0, BBox(0.375, 0.5, 0.5, 0.5)), (0, BBox(0.625, 0.5, 0.5, 0.5))]
         dets = [Detection(BBox(0.5, 0.5, 0.5, 0.5), 0, 0.9),
                 Detection(BBox(0.25, 0.5, 0.5, 0.5), 0, 0.8)]
-        assert match(to_detections(dets), gts, crit).tolist() == [True, False]
+        assert match(to_detections(dets), gts, [crit])[0].tolist() == [True, False]
         assert match_reference(dets, gts, crit).tolist() == [True, False]
 
     @given(st.lists(image, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_evaluate_detections_aps_and_counts(self, images):
-        per_dets = [dets for dets, _ in images]
-        per_gts = [gts for _, gts in images]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = evaluate_detections([to_detections(d) for d in per_dets], per_gts,
-                                      SMALL_CRITERIA)
-            wants = [evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA, np_hypot)]
-            if not hypot_differs(per_dets, per_gts, SMALL_CRITERIA):
-                wants.append(evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA))
-        for want in wants:
-            assert [r.ap for r in got] == [r.ap for r in want]
-            assert [r.counts for r in got] == [r.counts for r in want]
+        assert_reports_match_reference(images, SMALL_CRITERIA)
+
+    @pytest.mark.parametrize("name", sorted(CRITERION_LISTS))
+    @given(images=st.lists(image, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_detections_criterion_lists(self, name, images):
+        assert_reports_match_reference(images, CRITERION_LISTS[name])
 
     @given(st.lists(image, min_size=1, max_size=3))
     @settings(max_examples=50, deadline=None)
@@ -431,7 +485,7 @@ class TestMatrixMatchesPairLoop:
                                           SMALL_CRITERIA)
             want = evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA, np_hypot)
         path = tmp_path_factory.mktemp("per_class") / "classes.csv"
-        write_per_class_csv(path, "robo", reports)
+        write_per_class_csv(path, [("robo", reports)])
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
         assert [row["criterion"] for row in rows] == [c.label for c in SMALL_CRITERIA]
@@ -439,3 +493,30 @@ class TestMatrixMatchesPairLoop:
             for c, name in enumerate(CLASS_NAMES):
                 got = tuple(int(row[f"{name}_{k}"]) for k in ("tp", "fp", "fn"))
                 assert got == r.counts[c]
+
+
+def test_one_score_matrix_per_image_and_kind(rng, monkeypatch):
+    # The default sweep has five IoU and five distance criteria; each kind's
+    # matrix is built once for an image with both detections and ground
+    # truth, and not at all for an image that lacks either.
+    calls = {"iou": 0, "hypot": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(robodet.evaluate, "iou_matrix",
+                        counting("iou", robodet.evaluate.iou_matrix))
+    monkeypatch.setattr(np, "hypot", counting("hypot", np.hypot))
+    boxes = lambda n: [(int(rng.integers(0, 4)),
+                        BBox(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.05, 0.3, 2)))
+                       for _ in range(n)]
+    per_gts = [boxes(3), boxes(2), [], boxes(4), boxes(1)]
+    per_dets = [to_detections([Detection(b, c, float(rng.uniform(0, 1)))
+                               for c, b in boxes(n)]) for n in (6, 0, 5, 8, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        evaluate_detections(per_dets, per_gts, default_criteria(IMG))
+    assert calls == {"iou": 3, "hypot": 3}

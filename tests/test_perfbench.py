@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's traced training run."""
+"""Smoke tests of the benchmark's traced training and evaluation runs."""
 
 import json
 import subprocess
@@ -8,13 +8,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_train_run_is_correct():
-    # One traced second of the train workload: the tracer keys each conv's
-    # forward and backward spans by id(layer.conv), checks the traced MACs
-    # against count_macs and that its spans cover the forward pass.  Traces
-    # go to the checkout's .perfbench-traces/.
+def traced_run(workload):
+    """The metrics of one traced benchmark second of ``workload``, after
+    checking that it exits 0, is correct, fails no operation and reports no
+    tracer problem.  Traces go to the checkout's .perfbench-traces/."""
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "train", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
@@ -23,6 +22,23 @@ def test_traced_train_run_is_correct():
     assert json.loads(details)["details"]["problems"] == []
     result = json.loads(result)
     assert result["correct"] is True and result["failed"] == 0
-    metrics = result["metrics"]
+    return result["metrics"]
+
+
+def test_traced_train_run_is_correct():
+    # The tracer keys each conv's forward and backward spans by
+    # id(layer.conv), checks the traced MACs against count_macs and that its
+    # spans cover the forward pass.
+    metrics = traced_run("train")
     bwd = {k: v["value"] for k, v in metrics.items() if k.startswith("tensor.conv_bwd_ms.")}
     assert len(bwd) == 17 and all(v > 0 for v in bwd.values())
+
+
+def test_traced_eval_run_is_correct():
+    # The eval workload's correctness includes the perfbench/reference.npz
+    # mAP check.  The tracer wraps evaluate.match and
+    # evaluate.average_precision by name, so a renamed or bypassed function
+    # would leave these spans empty.
+    metrics = traced_run("eval")
+    assert metrics["evaluate.match_ms"]["value"] > 0
+    assert metrics["evaluate.ap_ms"]["value"] > 0
