@@ -193,13 +193,26 @@ BT601 = (
 
 def rgb_to_yuv(image: np.ndarray) -> np.ndarray:
     """8-bit (h, w, 3) RGB -> float32 (3, h, w) YUV with channels in [0, 1];
-    chroma is centered at 0.5."""
-    r, g, b = np.ascontiguousarray(image.transpose(2, 0, 1), dtype=np.float32) / 255.0
-    (yr, yg, yb), (ur, ug, ub), (vr, vg, vb) = BT601
-    y = yr * r + yg * g + yb * b
-    u = 0.5 + ur * r + ug * g + ub * b
-    v = 0.5 + vr * r + vg * g + vb * b
-    return np.stack([y, u, v])
+    chroma is centered at 0.5.
+
+    Each plane is ``0.5 + ur * r + ug * g + ub * b`` (no 0.5 for Y) in that
+    order of operations, built in place in the output with one scratch plane.
+    """
+    rgb = np.empty((3,) + image.shape[:2], dtype=np.float32)
+    np.copyto(rgb, image.transpose(2, 0, 1))
+    rgb /= 255.0
+    r, g, b = rgb
+    out = np.empty_like(rgb)
+    tmp = np.empty_like(r)
+    for plane, (cr, cg, cb), centre in zip(out, BT601, (0.0, 0.5, 0.5)):
+        np.multiply(r, cr, out=plane)
+        if centre:
+            plane += centre
+        np.multiply(g, cg, out=tmp)
+        plane += tmp
+        np.multiply(b, cb, out=tmp)
+        plane += tmp
+    return out
 
 
 # ---------------------------------------------------------------------------

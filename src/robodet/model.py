@@ -317,6 +317,7 @@ def _layer_forward(layer: Layer, x, cache=None):
         zn = z
     elif cache is None:
         zn = batch_norm(z, layer.bn, "infer")
+        del z  # free the conv output before the activation allocates
     else:
         zn, stats = batch_norm(z, layer.bn, "train")
     leaky = layer.spec.activation == "leaky"

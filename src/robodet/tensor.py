@@ -210,7 +210,8 @@ def leaky_relu(x: np.ndarray, slope: float = 0.1) -> np.ndarray:
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {slope}")
-    return np.maximum(x, x * np.asarray(slope, dtype=x.dtype))
+    out = x * np.asarray(slope, dtype=x.dtype)
+    return np.maximum(x, out, out=out)
 
 
 def leaky_relu_backward(

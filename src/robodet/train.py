@@ -282,7 +282,9 @@ def augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
     hue_deg = rng.uniform(-hue_max_deg, hue_max_deg)
     matrix = colour_matrix(brightness, contrast, saturation, hue_deg)
     offset = (1 - contrast) * brightness * image.mean()
-    out = image.astype(np.float32) @ matrix.T.astype(np.float32)
+    # C-ordered: on the F-ordered `matrix.T.astype(...)` numpy's matmul takes
+    # twice as long for the same bits.
+    out = image.astype(np.float32) @ np.ascontiguousarray(matrix.T, dtype=np.float32)
     out += np.float32(offset)
     np.clip(out, 0, 255, out=out)
     return np.rint(out, out=out).astype(np.uint8), boxes

@@ -230,6 +230,18 @@ class TestYuv:
             slab[..., 2] = blue
             assert rgb_to_yuv(slab).tobytes() == rgb_to_yuv_reference(slab).tobytes(), blue
 
+    def test_returns_fresh_c_array_and_leaves_input_unchanged(self, rng):
+        # A non-contiguous view as input: the conversion must not write
+        # through it, and its output is a fresh C-ordered float32 array.
+        base = rng.integers(0, 256, (20, 30, 3), dtype=np.uint8)
+        image = base[::2, ::-1]
+        before = base.copy()
+        yuv = rgb_to_yuv(image)
+        assert yuv.dtype == np.float32 and yuv.shape == (3, 10, 30)
+        assert yuv.flags.c_contiguous and yuv.flags.owndata
+        np.testing.assert_array_equal(base, before)
+        assert yuv.tobytes() == rgb_to_yuv_reference(image).tobytes()
+
     def test_mid_gray(self):
         img = np.full((1, 1, 3), 128, dtype=np.uint8)
         yuv = rgb_to_yuv(img)

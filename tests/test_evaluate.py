@@ -9,7 +9,22 @@ from hypothesis import strategies as st
 
 from conftest import to_detections
 import robodet.evaluate
-from robodet.detect import BBox, Detection, iou
+import robodet.model
+from robodet.data import (
+    DatasetIndex,
+    generate_toy_dataset,
+    load_all_annotations,
+    load_sample,
+    rgb_to_yuv,
+)
+from robodet.detect import (
+    BBox,
+    Detection,
+    compute_anchors,
+    decode_network_output,
+    iou,
+    postprocess,
+)
 from robodet.evaluate import (
     DEFAULT_DISTANCE_SWEEP,
     DEFAULT_IOU_SWEEP,
@@ -17,12 +32,13 @@ from robodet.evaluate import (
     MatchCriterion,
     average_precision,
     default_criteria,
+    evaluate,
     evaluate_detections,
     match,
     write_per_class_csv,
     write_report_csv,
 )
-from robodet.model import CLASS_NAMES
+from robodet.model import CLASS_NAMES, build_robo, build_robo_bn, build_robo_hr, init_network
 
 IMG = (640, 480)
 
@@ -520,3 +536,73 @@ def test_one_score_matrix_per_image_and_kind(rng, monkeypatch):
         warnings.simplefilter("ignore")
         evaluate_detections(per_dets, per_gts, default_criteria(IMG))
     assert calls == {"iou": 3, "hypot": 3}
+
+
+# ---------------------------------------------------------------------------
+# The inference loop of `evaluate`.
+
+
+def evaluate_reference(net, index, criteria=None, conf_threshold=0.01):
+    """Frozen copy of the earlier `evaluate`: one batch-1 forward per image."""
+    if criteria is None:
+        criteria = default_criteria(index.image_size)
+    per_image_dets = []
+    per_image_gts = []
+    for i in range(len(index)):
+        image, annotations = load_sample(index, i)
+        x = rgb_to_yuv(image)[None]
+        raw_lo, raw_hi = robodet.model.forward(net, x)
+        lo, hi = decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
+        per_image_dets.append(postprocess(lo, hi, conf_threshold=conf_threshold))
+        per_image_gts.append(annotations)
+    return evaluate_detections(per_image_dets, per_image_gts, criteria)
+
+
+SPECS = {"robo": build_robo(1), "robo_bn": build_robo_bn(1), "robo_hr": build_robo_hr(1)}
+
+
+@pytest.fixture(scope="module")
+def eval_set(tmp_path_factory):
+    """Seven toy images and an untrained net per spec, with the set's anchors."""
+    index = generate_toy_dataset(7, "A", seed=3, out_dir=tmp_path_factory.mktemp("eval"))
+    anchors = compute_anchors([(a.class_id, a.box) for a in load_all_annotations(index)])
+    nets = {}
+    for name, spec in SPECS.items():
+        nets[name] = init_network(spec, seed=3)
+        nets[name].anchors = anchors
+    return index, nets
+
+
+def first_images(index, n):
+    return DatasetIndex(index.root, index.entries[:n], index.image_size)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 7])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_chunked_evaluate_equals_per_image_loop(eval_set, name, n):
+    # 5 and 7 images leave a short last chunk.
+    index, nets = eval_set
+    net, index = nets[name], first_images(index, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got, want = evaluate(net, index), evaluate_reference(net, index)
+    assert [r.criterion for r in got] == [r.criterion for r in want]
+    assert [r.ap for r in got] == [r.ap for r in want]
+    assert [r.counts for r in got] == [r.counts for r in want]
+    assert [r.map for r in got] == [r.map for r in want]
+
+
+def test_forward_runs_four_images_at_a_time(eval_set, monkeypatch):
+    index, nets = eval_set
+    sizes = []
+    forward = robodet.model.forward
+
+    def spy(net, x):
+        sizes.append(x.shape[0])
+        return forward(net, x)
+
+    monkeypatch.setattr(robodet.model, "forward", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        evaluate(nets["robo"], first_images(index, 5))
+    assert sizes == [4, 1]

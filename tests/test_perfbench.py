@@ -1,4 +1,5 @@
-"""Smoke tests of the benchmark's traced training and evaluation runs."""
+"""Smoke tests of the benchmark's traced training, detection and evaluation
+runs."""
 
 import json
 import subprocess
@@ -32,6 +33,17 @@ def test_traced_train_run_is_correct():
     metrics = traced_run("train")
     bwd = {k: v["value"] for k, v in metrics.items() if k.startswith("tensor.conv_bwd_ms.")}
     assert len(bwd) == 17 and all(v > 0 for v in bwd.values())
+
+
+def test_traced_detect_run_is_correct():
+    # The detect workload's correctness includes the float64 reference check
+    # of the head outputs.  Every conv's forward span and the per-frame
+    # decode and postprocess spans must be seen.
+    metrics = traced_run("detect")
+    fwd = {k: v["value"] for k, v in metrics.items() if k.startswith("tensor.conv_fwd_ms.")}
+    assert len(fwd) == 17 and all(v > 0 for v in fwd.values())
+    assert metrics["detect.decode_ms"]["value"] > 0
+    assert metrics["detect.post_ms"]["value"] > 0
 
 
 def test_traced_eval_run_is_correct():

@@ -219,6 +219,15 @@ class TestLeakyRelu:
             x = (rng.normal(0, 1, 200) * 10.0 ** rng.integers(-46, 40, 200)).astype(dtype)
         assert_bitwise_equal(leaky_relu(x, slope), leaky_relu_reference(x, slope))
 
+    def test_returns_a_new_array_and_leaves_input_unchanged(self, rng):
+        x = rng.normal(0, 1, (2, 3, 4, 4)).astype(np.float32)
+        before = x.copy()
+        out = leaky_relu(x)
+        assert out is not x and not np.shares_memory(out, x)
+        assert out.dtype == x.dtype and out.shape == x.shape
+        assert_bitwise_equal(x, before)
+        assert_bitwise_equal(out, leaky_relu_reference(before))
+
     @pytest.mark.parametrize("slope", [0.0, 1.0, -0.1, 2.0])
     def test_slope_outside_unit_interval_rejected(self, slope):
         with pytest.raises(ValueError, match="slope"):

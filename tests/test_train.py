@@ -568,6 +568,38 @@ class TestAugment:
             assert_augment_matches_reference(image, k, jitter=0.9, hue_max_deg=180.0)
 
 
+def augment_f_ordered(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
+    """Frozen copy of `augment` as it was when it passed the colour matrix to
+    matmul as an F-ordered transpose; `augment` now passes a C-ordered one."""
+    if rng.random() < flip_prob:
+        image, boxes = hflip(image, boxes)
+    brightness = rng.uniform(1 - jitter, 1 + jitter)
+    contrast = rng.uniform(1 - jitter, 1 + jitter)
+    saturation = rng.uniform(1 - jitter, 1 + jitter)
+    hue_deg = rng.uniform(-hue_max_deg, hue_max_deg)
+    matrix = colour_matrix(brightness, contrast, saturation, hue_deg)
+    offset = (1 - contrast) * brightness * image.mean()
+    out = image.astype(np.float32) @ matrix.T.astype(np.float32)
+    out += np.float32(offset)
+    np.clip(out, 0, 255, out=out)
+    return np.rint(out, out=out).astype(np.uint8), boxes
+
+
+def test_augment_bitwise_equals_f_ordered_copy(micro_dataset):
+    images = [image for image, _ in load_all_samples(micro_dataset)][:3]
+    images += [np.random.default_rng(0).integers(0, 256, (192, 256, 3), dtype=np.uint8),
+               np.random.default_rng(1).integers(0, 256, (7, 11, 3), dtype=np.uint8), _GREYS]
+    boxes = [Annotation(0, BBox(0.3, 0.4, 0.1, 0.2))]
+    for image in images:
+        for seed in range(6):
+            for kw in ({}, {"jitter": 0.9, "hue_max_deg": 180.0}):
+                got, got_boxes = augment(image, boxes, np.random.default_rng(seed), **kw)
+                want, want_boxes = augment_f_ordered(image, boxes, np.random.default_rng(seed),
+                                                     **kw)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert got_boxes == want_boxes
+
+
 class TestPrune:
     def test_spec_example(self, tiny_net):
         layer = tiny_net.layers[0]
