@@ -8,6 +8,7 @@ separately from the backbone list.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -60,7 +61,6 @@ class LayerSpec:
     stride: int
     in_ch: int
     out_ch: int
-    has_bn: bool = True
     activation: str = "leaky"  # leaky | linear
     tap: str | None = None  # head_lo | head_hi
 
@@ -86,23 +86,11 @@ class ModelSpec:
 
     @property
     def total_stride(self) -> int:
-        s = 1
-        for layer in self.layers:
-            s *= layer.stride
-        return s
-
-    def stride_upto(self, layer_index: int) -> int:
-        s = 1
-        for layer in self.layers[:layer_index]:
-            s *= layer.stride
-        return s
-
-    def grid_at(self, layer_index: int) -> tuple[int, int]:
-        s = self.stride_upto(layer_index)
-        return self.input_hw[0] // s, self.input_hw[1] // s
+        return math.prod(layer.stride for layer in self.layers)
 
     def head_grid(self, head: HeadSpec) -> tuple[int, int]:
-        return self.grid_at(head.source_layer)
+        s = math.prod(layer.stride for layer in self.layers[: head.source_layer])
+        return self.input_hw[0] // s, self.input_hw[1] // s
 
     def head(self, name: str) -> HeadSpec:
         for h in self.heads:
@@ -169,7 +157,7 @@ def _make_layers(rows, tap_hi: int, tap_lo: int) -> tuple[LayerSpec, ...]:
     layers = []
     for idx, (k, s, ci, co) in enumerate(rows, start=1):
         tap = HEAD_HI if idx == tap_hi else HEAD_LO if idx == tap_lo else None
-        layers.append(LayerSpec(idx, k, s, ci, co, has_bn=True, tap=tap))
+        layers.append(LayerSpec(idx, k, s, ci, co, tap=tap))
     return tuple(layers)
 
 
@@ -246,7 +234,6 @@ def head_layer_spec(spec: ModelSpec, head: HeadSpec) -> LayerSpec:
         stride=1,
         in_ch=src_ch,
         out_ch=head.channels,
-        has_bn=False,
         activation="linear",
     )
 
@@ -289,8 +276,8 @@ class Network:
 
 
 def init_network(spec: ModelSpec, seed: int = 0) -> Network:
-    """He-initialized network with identity BN, all-pass masks, and
-    placeholder anchors."""
+    """He-initialized network with identity BN on every backbone layer (the
+    heads have none), all-pass masks, and placeholder anchors."""
     rng = np.random.default_rng(seed)
 
     def make_layer(ls: LayerSpec) -> Layer:
@@ -301,69 +288,61 @@ def init_network(spec: ModelSpec, seed: int = 0) -> Network:
             ls.kernel, ls.stride, ls.in_ch, ls.out_ch,
             weights, np.zeros(ls.out_ch, dtype=np.float32),
         )
-        bn = BatchNormParams.identity(ls.out_ch) if ls.has_bn else None
-        return Layer(ls, conv, bn, np.ones(shape, dtype=bool))
+        return Layer(ls, conv, None, np.ones(shape, dtype=bool))
 
     layers = [make_layer(ls) for ls in spec.layers]
+    for layer in layers:
+        layer.bn = BatchNormParams.identity(layer.spec.out_ch)
     heads = {h.name: make_layer(head_layer_spec(spec, h)) for h in spec.heads}
     anchors = np.full((len(CLASS_NAMES), 2), 0.1, dtype=np.float32)
     return Network(spec, layers, heads, anchors)
 
 
-def _layer_forward(layer: Layer, x, cache=None):
-    z = conv2d_forward(x, layer.conv)
-    stats = None
-    if layer.bn is None:
-        zn = z
-    elif cache is None:
-        zn = batch_norm(z, layer.bn, "infer")
-        del z  # free the conv output before the activation allocates
-    else:
-        zn, stats = batch_norm(z, layer.bn, "train")
-    leaky = layer.spec.activation == "leaky"
-    a = leaky_relu(zn) if leaky else zn
-    if cache is not None:
-        # Backward needs zn only through its sign; the 1-byte mask takes the
-        # place of the 4-byte BN output.
-        cache.append({"x": x, "z": z, "mask": zn >= 0 if leaky else None,
-                      "stats": stats})
-    return a
-
-
-def forward(net: Network, x: np.ndarray):
-    """Inference-mode forward; returns (raw_lo, raw_hi) head output tensors."""
-    out, _ = _forward_impl(net, x, keep_cache=False)
-    return out
-
-
-def forward_with_cache(net: Network, x: np.ndarray):
-    """Train-mode forward keeping, per layer, the input, the conv output,
-    the batch statistics and the activation's sign mask for backward()."""
-    return _forward_impl(net, x, keep_cache=True)
-
-
-def _forward_impl(net, x, keep_cache):
-    expected = (x.shape[0], 3) + net.spec.input_hw
-    if x.ndim != 4 or x.shape[1:] != expected[1:]:
+def _check_input(net: Network, x: np.ndarray) -> None:
+    if x.ndim != 4 or x.shape[1:] != (3,) + net.spec.input_hw:
         raise ShapeError(
             f"input shape {tuple(x.shape)} does not match model input "
             f"(n, 3, {net.spec.input_hw[0]}, {net.spec.input_hw[1]})"
         )
-    cache = [] if keep_cache else None
+
+
+def forward(net: Network, x: np.ndarray):
+    """Inference-mode forward; returns (raw_lo, raw_hi) head output tensors."""
+    _check_input(net, x)
     taps = {}
-    h = x
     for layer in net.layers:
-        h = _layer_forward(layer, h, cache)
+        z = conv2d_forward(x, layer.conv)
+        x = batch_norm(z, layer.bn, "infer")
+        del z  # free the conv output before the activation allocates
+        if layer.spec.activation == "leaky":
+            x = leaky_relu(x)
         if layer.spec.tap:
-            taps[layer.spec.tap] = h
-    raws = {}
-    head_cache = {}
-    for name in (HEAD_LO, HEAD_HI):
-        layer = net.heads[name]
-        raws[name] = conv2d_forward(taps[name], layer.conv)
-        head_cache[name] = taps[name]
-    full_cache = {"layers": cache, "taps": head_cache} if keep_cache else None
-    return (raws[HEAD_LO], raws[HEAD_HI]), full_cache
+            taps[layer.spec.tap] = x
+    return tuple(conv2d_forward(taps[name], net.heads[name].conv) for name in (HEAD_LO, HEAD_HI))
+
+
+def forward_with_cache(net: Network, x: np.ndarray):
+    """Train-mode forward keeping, per layer, the input, the conv output,
+    the batch statistics and the activation's sign mask for backward().
+
+    Returns ((raw_lo, raw_hi), cache); the cache holds the per-layer entries
+    under ``layers`` and the head inputs under ``taps``.
+    """
+    _check_input(net, x)
+    cache = []
+    taps = {}
+    for layer in net.layers:
+        z = conv2d_forward(x, layer.conv)
+        zn, stats = batch_norm(z, layer.bn, "train")
+        leaky = layer.spec.activation == "leaky"
+        # Backward needs zn only through its sign; the 1-byte mask takes the
+        # place of the 4-byte BN output.
+        cache.append({"x": x, "z": z, "mask": zn >= 0 if leaky else None, "stats": stats})
+        x = leaky_relu(zn) if leaky else zn
+        if layer.spec.tap:
+            taps[layer.spec.tap] = x
+    heads = tuple(conv2d_forward(taps[name], net.heads[name].conv) for name in (HEAD_LO, HEAD_HI))
+    return heads, {"layers": cache, "taps": taps}
 
 
 def backward(net: Network, cache, grad_lo: np.ndarray, grad_hi: np.ndarray):
@@ -394,15 +373,10 @@ def backward(net: Network, cache, grad_lo: np.ndarray, grad_hi: np.ndarray):
             g += tap_grads.pop(tap)  # both fresh arrays; += rounds as + does
         if layer.spec.activation == "leaky":
             g = leaky_relu_backward(entry.pop("mask"), g)
-        if layer.bn is not None:
-            g, dgamma, dbeta = batch_norm_backward(entry.pop("z"), layer.bn, g,
-                                                   entry.pop("stats"))
-            grads[f"l{i}.gamma"] = dgamma
-            grads[f"l{i}.beta"] = dbeta
-        g, dw, db = conv2d_backward(entry.pop("x"), layer.conv, g, input_grad=i > 1)
-        if layer.bn is None:
-            grads[f"l{i}.b"] = db
-        grads[f"l{i}.w"] = dw
+        g, grads[f"l{i}.gamma"], grads[f"l{i}.beta"] = batch_norm_backward(
+            entry.pop("z"), layer.bn, g, entry.pop("stats"))
+        g, grads[f"l{i}.w"], _ = conv2d_backward(entry.pop("x"), layer.conv, g,
+                                                 input_grad=i > 1)
     return grads
 
 

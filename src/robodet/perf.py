@@ -65,9 +65,7 @@ def count_macs(spec: ModelSpec, masks=None) -> OpReport:
         w //= layer.stride
         name = f"l{layer.index}"
         macs = layer.kernel**2 * layer.in_ch * layer.out_ch * h * w
-        params = layer.kernel**2 * layer.in_ch * layer.out_ch
-        if not layer.has_bn:
-            params += layer.out_ch
+        params = layer.kernel**2 * layer.in_ch * layer.out_ch  # no bias: BN follows
         layers.append(LayerOps(name, macs, params, _mask_fraction(masks, name)))
     for head in spec.heads:
         ls = head_layer_spec(spec, head)

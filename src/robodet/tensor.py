@@ -39,12 +39,6 @@ class ConvParams:
     def padding(self) -> int:
         return self.kernel // 2
 
-    @classmethod
-    def zeros(cls, kernel, stride, in_ch, out_ch, dtype=np.float32):
-        w = np.zeros((out_ch, in_ch, kernel, kernel), dtype=dtype)
-        b = np.zeros(out_ch, dtype=dtype)
-        return cls(kernel, stride, in_ch, out_ch, w, b)
-
 
 @dataclass
 class BatchNormParams:

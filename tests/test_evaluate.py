@@ -236,7 +236,8 @@ class TestEvaluateDetections:
     def test_tp_bounded_by_gt_count(self, rng):
         gts = [(0, BBox(0.5, 0.5, 0.2, 0.2))]
         dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, c / 10) for c in range(1, 8)])
-        reports = evaluate_detections([dets], [gts], [MatchCriterion("iou", 0.1)])
+        with pytest.warns(UserWarning, match="no ground truth"):
+            reports = evaluate_detections([dets], [gts], [MatchCriterion("iou", 0.1)])
         tp, fp, fn = reports[0].counts[0]
         assert tp == 1 and fp == 6 and fn == 0
 

@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -20,12 +21,13 @@ from robodet.model import (
     build_robo_bn,
     build_robo_hr,
     forward,
+    forward_with_cache,
     init_network,
     load_weights,
     save_weights,
 )
 from robodet.perf import count_macs
-from robodet.tensor import ShapeError
+from robodet.tensor import ShapeError, batch_norm, conv2d_forward, leaky_relu
 
 from conftest import flip_bytes
 
@@ -217,6 +219,116 @@ class TestForward:
         assert raw_lo.shape == (3, 10, 3, 4)
         one, _ = forward(net, x[1:2])
         np.testing.assert_allclose(raw_lo[1:2], one, atol=1e-5)
+
+
+def frozen_layer_forward(layer, x, cache=None):
+    z = conv2d_forward(x, layer.conv)
+    stats = None
+    if layer.bn is None:
+        zn = z
+    elif cache is None:
+        zn = batch_norm(z, layer.bn, "infer")
+        del z
+    else:
+        zn, stats = batch_norm(z, layer.bn, "train")
+    leaky = layer.spec.activation == "leaky"
+    a = leaky_relu(zn) if leaky else zn
+    if cache is not None:
+        cache.append({"x": x, "z": z, "mask": zn >= 0 if leaky else None,
+                      "stats": stats})
+    return a
+
+
+def frozen_forward(net, x, keep_cache):
+    """The forward pass as it was when one helper served both modes, with a
+    cache argument choosing between them; the input check is left out."""
+    cache = [] if keep_cache else None
+    taps = {}
+    h = x
+    for layer in net.layers:
+        h = frozen_layer_forward(layer, h, cache)
+        if layer.spec.tap:
+            taps[layer.spec.tap] = h
+    raws = {}
+    head_cache = {}
+    for name in (HEAD_LO, HEAD_HI):
+        raws[name] = conv2d_forward(taps[name], net.heads[name].conv)
+        head_cache[name] = taps[name]
+    full_cache = {"layers": cache, "taps": head_cache} if keep_cache else None
+    return (raws[HEAD_LO], raws[HEAD_HI]), full_cache
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def trained_looking_net(spec, seed=0):
+    """A network with non-identity BN parameters and statistics, nonzero
+    head biases, and layer 3 pruned to half its weights."""
+    net = init_network(spec, seed)
+    rng = np.random.default_rng(seed + 1)
+    for layer in net.layers:
+        c = layer.bn.channels
+        layer.bn.gamma[:] = rng.uniform(0.5, 1.5, c)
+        layer.bn.beta[:] = rng.normal(0, 0.5, c)
+        layer.bn.mean[:] = rng.normal(0, 0.5, c)
+        layer.bn.var[:] = rng.uniform(0.5, 2.0, c)
+    for layer in net.heads.values():
+        layer.conv.bias[:] = rng.normal(0, 0.5, layer.conv.out_ch)
+    pruned = net.layers[2]
+    pruned.mask[:] = rng.random(pruned.mask.shape) < 0.5
+    net.apply_masks()
+    return net
+
+
+FROZEN_CASES = [
+    ("robo", 1, 1), ("robo", 1, 4), ("robo_bn", 1, 1), ("robo_bn", 1, 4),
+    ("robo_hr", 1, 1), ("robo_hr", 1, 4), ("robo", 2, 1),
+]
+
+
+@pytest.mark.parametrize("name, k, batch", FROZEN_CASES)
+class TestForwardMatchesFrozen:
+    """Both forward modes stay bit for bit equal to the single-helper
+    forward they replaced."""
+
+    @staticmethod
+    def inputs(name, k, batch):
+        net = trained_looking_net(model.build_spec(name, k))
+        x = np.random.default_rng(2).random((batch, 3) + net.spec.input_hw,
+                                            dtype=np.float32)
+        return net, x
+
+    def test_infer_heads(self, name, k, batch):
+        net, x = self.inputs(name, k, batch)
+        want, _ = frozen_forward(net, x, keep_cache=False)
+        got = forward(net, x)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert_bitwise_equal(g, w)
+
+    def test_train_heads_cache_and_running_stats(self, name, k, batch):
+        net, x = self.inputs(name, k, batch)
+        frozen_net = copy.deepcopy(net)
+        want, want_cache = frozen_forward(frozen_net, x, keep_cache=True)
+        got, got_cache = forward_with_cache(net, x)
+        for g, w in zip(got, want):
+            assert_bitwise_equal(g, w)
+        assert got_cache.keys() == {"layers", "taps"}
+        assert got_cache["taps"].keys() == want_cache["taps"].keys()
+        for tap, w in want_cache["taps"].items():
+            assert_bitwise_equal(got_cache["taps"][tap], w)
+        assert len(got_cache["layers"]) == len(want_cache["layers"]) == len(net.layers)
+        for g, w in zip(got_cache["layers"], want_cache["layers"]):
+            assert g.keys() == w.keys() == {"x", "z", "mask", "stats"}
+            for key in ("x", "z", "mask"):
+                assert_bitwise_equal(g[key], w[key])
+            for gs, ws in zip(g["stats"], w["stats"], strict=True):
+                assert_bitwise_equal(gs, ws)
+        for g, w in zip(net.layers, frozen_net.layers):
+            assert_bitwise_equal(g.bn.mean, w.bn.mean)
+            assert_bitwise_equal(g.bn.var, w.bn.var)
 
 
 @pytest.fixture(scope="module")

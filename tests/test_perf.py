@@ -80,12 +80,11 @@ class TestCountMacs:
 
     def test_params_match_model_counts(self):
         assert [l.params for l in count_macs(build_robo(2)).layers] == ROBO_LAYER_PARAMS
-        # Closed form: k^2*ci*co weights per conv, plus co biases only where
-        # no batch norm follows; a head is a 1x1 conv with bias, 5 outputs
-        # per owned class.
+        # Closed form: k^2*ci*co weights per backbone conv, whose bias batch
+        # norm replaces; a head is a 1x1 conv with bias, 5 outputs per owned
+        # class.
         for spec in (build_robo_bn(2), build_robo_hr()):
-            want = [l.kernel**2 * l.in_ch * l.out_ch + (0 if l.has_bn else l.out_ch)
-                    for l in spec.layers]
+            want = [l.kernel**2 * l.in_ch * l.out_ch for l in spec.layers]
             want += [(spec.layers[h.source_layer - 1].out_ch + 1) * 5 * len(h.classes_owned)
                      for h in spec.heads]
             assert [l.params for l in count_macs(spec).layers] == want, spec.name

@@ -385,7 +385,7 @@ class TestFoldBatchNorm:
         assert np.abs(got - want).max() < 1e-4
 
     def test_zero_weight_conv_bias(self, rng):
-        conv = ConvParams.zeros(3, 1, 2, 3, dtype=np.float64)
+        conv = ConvParams(3, 1, 2, 3, np.zeros((3, 2, 3, 3)), np.zeros(3))
         bn = BatchNormParams.identity(3, dtype=np.float64)
         bn.gamma[:] = [1.0, 2.0, 0.5]
         bn.mean[:] = [0.5, -1.0, 2.0]
