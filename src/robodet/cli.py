@@ -148,10 +148,11 @@ def _check_image_size(spec: model_mod.ModelSpec, source, size) -> None:
 
 
 def _read_index(path) -> data_mod.DatasetIndex:
-    """load_index with images of different sizes as a validation error."""
+    """load_index with a malformed index or images of different sizes as a
+    validation error; a missing file stays a runtime error."""
     try:
         return data_mod.load_index(path)
-    except data_mod.ImageSizeError as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
@@ -176,9 +177,13 @@ def _check_out(path) -> None:
 
 
 def _dataset_anchors(index: data_mod.DatasetIndex) -> np.ndarray:
-    """compute_anchors over a dataset, with a class that has no box there as
-    a validation error naming the dataset directory."""
-    annotations = data_mod.load_all_annotations(index)
+    """compute_anchors over a dataset, with a malformed annotation file as a
+    validation error, and a class that has no box there as one naming the
+    dataset directory."""
+    try:
+        annotations = data_mod.load_all_annotations(index)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     try:
         return detect_mod.compute_anchors(annotations)
     except ValueError as exc:

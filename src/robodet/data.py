@@ -22,8 +22,8 @@ INDEX_FILE = "index.txt"
 TOY_WIDTH = 256
 TOY_HEIGHT = 192
 
-# Default minimum box side: 8 pixels of a VGA-width image.
-DEFAULT_MIN_WH = 8 / 640
+# Minimum box side kept by filter_min_size: 8 pixels of a VGA-width image.
+MIN_WH = 8 / 640
 
 
 class Annotation(NamedTuple):
@@ -175,8 +175,8 @@ def save_annotations(path, annotations) -> None:
             f.write(f"{ann.class_id} {b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f}\n")
 
 
-def filter_min_size(annotations, min_wh: float = DEFAULT_MIN_WH):
-    return [a for a in annotations if a.box.w >= min_wh and a.box.h >= min_wh]
+def filter_min_size(annotations):
+    return [a for a in annotations if a.box.w >= MIN_WH and a.box.h >= MIN_WH]
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +219,12 @@ def rgb_to_yuv(image: np.ndarray) -> np.ndarray:
 # Dataset index.
 
 
-class ImageSizeError(ValueError):
-    """The images of one dataset differ in size."""
-
-
 def load_index(root) -> DatasetIndex:
     """The dataset at root, after reading every image's header.
 
     An image file that is missing raises FileNotFoundError naming its index
-    line; images of different sizes raise ImageSizeError.
+    line; a malformed index line, an empty index, an unreadable image header
+    and images of different sizes raise ValueError.
     """
     root = Path(root)
     index_path = root / INDEX_FILE
@@ -251,7 +248,7 @@ def load_index(root) -> DatasetIndex:
     for img_rel, _ in entries[1:]:
         size = ppm_size(root / img_rel)
         if size != image_size:
-            raise ImageSizeError(
+            raise ValueError(
                 f"{root / img_rel}: image size {size[0]}x{size[1]} differs from "
                 f"{image_size[0]}x{image_size[1]} of {first}"
             )

@@ -156,7 +156,8 @@ def iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = iw * ih
     union = a.w * a.h + b.w * b.h - inter
-    return inter / union
+    # union <= 0 only on degenerate boxes, such as areas that underflow to 0
+    return inter / union if union > 0 else 0.0
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -172,7 +173,8 @@ def iou_matrix(a, b) -> np.ndarray:
     ih = np.minimum(acy + ah / 2, bcy + bh / 2) - np.maximum(acy - ah / 2, bcy - bh / 2)
     inter = iw * ih
     union = aw * ah + bw * bh - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=(iw > 0) & (ih > 0))
+    return np.divide(inter, union, out=np.zeros_like(inter),
+                     where=(iw > 0) & (ih > 0) & (union > 0))
 
 
 def nms(dets: Detections, iou_threshold: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class SpecMismatchError(WeightFormatError):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    index: int
     kernel: int
     stride: int
     in_ch: int
@@ -68,7 +67,6 @@ class LayerSpec:
 @dataclass(frozen=True)
 class HeadSpec:
     name: str
-    source_layer: int
     classes_owned: tuple[int, int]
 
     @property
@@ -80,16 +78,24 @@ class HeadSpec:
 class ModelSpec:
     name: str
     k: int
-    input_hw: tuple[int, int]  # (height, width)
     layers: tuple[LayerSpec, ...]
     heads: tuple[HeadSpec, HeadSpec]
+
+    @property
+    def input_hw(self) -> tuple[int, int]:
+        """(height, width): k times 192x256."""
+        return 192 * self.k, 256 * self.k
 
     @property
     def total_stride(self) -> int:
         return math.prod(layer.stride for layer in self.layers)
 
+    def head_source(self, head: HeadSpec) -> int:
+        """1-based position of the backbone layer whose tap feeds head."""
+        return next(i for i, l in enumerate(self.layers, start=1) if l.tap == head.name)
+
     def head_grid(self, head: HeadSpec) -> tuple[int, int]:
-        s = math.prod(layer.stride for layer in self.layers[: head.source_layer])
+        s = math.prod(layer.stride for layer in self.layers[: self.head_source(head)])
         return self.input_hw[0] // s, self.input_hw[1] // s
 
     def head(self, name: str) -> HeadSpec:
@@ -122,29 +128,28 @@ _ROBO_TAP_LO = 15
 
 # Classes owned by each head: the low-resolution head predicts the large
 # object classes, the higher-resolution one the small classes.
-_HEAD_LO_CLASSES = (2, 3)  # goalpost, robot
-_HEAD_HI_CLASSES = (0, 1)  # ball, crossing
+_HEADS = (
+    HeadSpec(HEAD_LO, (2, 3)),  # goalpost, robot
+    HeadSpec(HEAD_HI, (0, 1)),  # ball, crossing
+)
 
 
 def _validate(spec: ModelSpec) -> ModelSpec:
-    for prev, cur in zip(spec.layers, spec.layers[1:]):
+    for i, (prev, cur) in enumerate(zip(spec.layers, spec.layers[1:]), start=2):
         if prev.out_ch != cur.in_ch:
             raise ValueError(
-                f"layer {cur.index} in_ch {cur.in_ch} does not chain from "
-                f"layer {prev.index} out_ch {prev.out_ch}"
+                f"layer {i} in_ch {cur.in_ch} does not chain from "
+                f"layer {i - 1} out_ch {prev.out_ch}"
             )
-    for layer in spec.layers:
+    for i, layer in enumerate(spec.layers, start=1):
         if layer.stride == 2 and layer.out_ch <= layer.in_ch:
             raise ValueError(
-                f"strided layer {layer.index} must increase channels "
+                f"strided layer {i} must increase channels "
                 f"({layer.in_ch} -> {layer.out_ch})"
             )
     taps = {l.tap for l in spec.layers if l.tap}
     if taps != {HEAD_LO, HEAD_HI}:
         raise ValueError(f"expected exactly one tap per head, got {taps}")
-    for head in spec.heads:
-        if spec.layers[head.source_layer - 1].tap != head.name:
-            raise ValueError(f"head {head.name} source layer tap mismatch")
     h, w = spec.input_hw
     if h % spec.total_stride or w % spec.total_stride:
         raise ValueError(
@@ -157,7 +162,7 @@ def _make_layers(rows, tap_hi: int, tap_lo: int) -> tuple[LayerSpec, ...]:
     layers = []
     for idx, (k, s, ci, co) in enumerate(rows, start=1):
         tap = HEAD_HI if idx == tap_hi else HEAD_LO if idx == tap_lo else None
-        layers.append(LayerSpec(idx, k, s, ci, co, tap=tap))
+        layers.append(LayerSpec(k, s, ci, co, tap=tap))
     return tuple(layers)
 
 
@@ -166,11 +171,7 @@ def build_robo(k: int = 2) -> ModelSpec:
     if k < 1:
         raise ValueError("k must be a positive integer")
     layers = _make_layers(_ROBO_BACKBONE, _ROBO_TAP_HI, _ROBO_TAP_LO)
-    heads = (
-        HeadSpec(HEAD_LO, _ROBO_TAP_LO, _HEAD_LO_CLASSES),
-        HeadSpec(HEAD_HI, _ROBO_TAP_HI, _HEAD_HI_CLASSES),
-    )
-    return _validate(ModelSpec("robo", k, (k * 192, k * 256), layers, heads))
+    return _validate(ModelSpec("robo", k, layers, _HEADS))
 
 
 def build_robo_hr(k: int = 1) -> ModelSpec:
@@ -180,11 +181,7 @@ def build_robo_hr(k: int = 1) -> ModelSpec:
         raise ValueError(f"robo_hr has a fixed 192x256 input; k must be 1, got {k}")
     rows = [(3, 2, 3, 8)] + [list(r) for r in _ROBO_BACKBONE[2:]]
     layers = _make_layers(rows, _ROBO_TAP_HI - 1, _ROBO_TAP_LO - 1)
-    heads = (
-        HeadSpec(HEAD_LO, _ROBO_TAP_LO - 1, _HEAD_LO_CLASSES),
-        HeadSpec(HEAD_HI, _ROBO_TAP_HI - 1, _HEAD_HI_CLASSES),
-    )
-    return _validate(ModelSpec("robo_hr", 1, (192, 256), layers, heads))
+    return _validate(ModelSpec("robo_hr", 1, layers, _HEADS))
 
 
 def build_robo_bn(k: int = 2) -> ModelSpec:
@@ -206,11 +203,7 @@ def build_robo_bn(k: int = 2) -> ModelSpec:
         elif idx == _ROBO_TAP_LO:
             tap_lo = len(rows)
     layers = _make_layers(rows, tap_hi, tap_lo)
-    heads = (
-        HeadSpec(HEAD_LO, tap_lo, _HEAD_LO_CLASSES),
-        HeadSpec(HEAD_HI, tap_hi, _HEAD_HI_CLASSES),
-    )
-    return _validate(ModelSpec("robo_bn", k, (k * 192, k * 256), layers, heads))
+    return _validate(ModelSpec("robo_bn", k, layers, _HEADS))
 
 
 _BUILDERS = {"robo": build_robo, "robo_bn": build_robo_bn, "robo_hr": build_robo_hr}
@@ -227,15 +220,8 @@ def build_spec(name: str, k: int | None = None) -> ModelSpec:
 
 def head_layer_spec(spec: ModelSpec, head: HeadSpec) -> LayerSpec:
     """The implicit 1x1 linear conv realizing a detection head."""
-    src_ch = spec.layers[head.source_layer - 1].out_ch
-    return LayerSpec(
-        index=0,
-        kernel=1,
-        stride=1,
-        in_ch=src_ch,
-        out_ch=head.channels,
-        activation="linear",
-    )
+    src_ch = spec.layers[spec.head_source(head) - 1].out_ch
+    return LayerSpec(1, 1, src_ch, head.channels, activation="linear")
 
 
 @dataclass
@@ -284,10 +270,7 @@ def init_network(spec: ModelSpec, seed: int = 0) -> Network:
         std = np.sqrt(2.0 / (ls.kernel * ls.kernel * ls.in_ch))
         shape = (ls.out_ch, ls.in_ch, ls.kernel, ls.kernel)
         weights = rng.normal(0.0, std, size=shape).astype(np.float32)
-        conv = ConvParams(
-            ls.kernel, ls.stride, ls.in_ch, ls.out_ch,
-            weights, np.zeros(ls.out_ch, dtype=np.float32),
-        )
+        conv = ConvParams(ls.stride, weights, np.zeros(ls.out_ch, dtype=np.float32))
         return Layer(ls, conv, None, np.ones(shape, dtype=bool))
 
     layers = [make_layer(ls) for ls in spec.layers]

@@ -60,10 +60,10 @@ def count_macs(spec: ModelSpec, masks=None) -> OpReport:
     are included."""
     layers = []
     h, w = spec.input_hw
-    for layer in spec.layers:
+    for i, layer in enumerate(spec.layers, start=1):
         h //= layer.stride
         w //= layer.stride
-        name = f"l{layer.index}"
+        name = f"l{i}"
         macs = layer.kernel**2 * layer.in_ch * layer.out_ch * h * w
         params = layer.kernel**2 * layer.in_ch * layer.out_ch  # no bias: BN follows
         layers.append(LayerOps(name, macs, params, _mask_fraction(masks, name)))

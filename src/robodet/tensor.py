@@ -9,7 +9,7 @@ object.  Arrays follow the caller's dtype; the network runs in float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -19,6 +19,10 @@ import numpy as np
 # cache size instead of spanning tens of megabytes.
 SLICE_BYTES = 1 << 20
 
+# Negative-side slope of the leaky ReLU; the kernels below rely on
+# 0 < LEAKY_SLOPE < 1.
+LEAKY_SLOPE = 0.1
+
 
 class ShapeError(ValueError):
     """An operand's shape does not match the layer parameters."""
@@ -26,14 +30,24 @@ class ShapeError(ValueError):
 
 @dataclass
 class ConvParams:
-    """Same-padded cross-correlation; weights laid out (out_ch, in_ch, k, k)."""
+    """Same-padded cross-correlation; weights laid out (out_ch, in_ch, k, k),
+    which is where the kernel size and channel counts are read from."""
 
-    kernel: int
     stride: int
-    in_ch: int
-    out_ch: int
     weights: np.ndarray
     bias: np.ndarray
+
+    @property
+    def kernel(self) -> int:
+        return self.weights.shape[2]
+
+    @property
+    def in_ch(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def out_ch(self) -> int:
+        return self.weights.shape[0]
 
     @property
     def padding(self) -> int:
@@ -48,17 +62,13 @@ class BatchNormParams:
     beta: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
+    momentum: ClassVar[float] = 0.1
+    eps: ClassVar[float] = 1e-5
 
     @classmethod
-    def identity(cls, channels, dtype=np.float32):
-        return cls(
-            gamma=np.ones(channels, dtype=dtype),
-            beta=np.zeros(channels, dtype=dtype),
-            mean=np.zeros(channels, dtype=dtype),
-            var=np.ones(channels, dtype=dtype),
-        )
+    def identity(cls, channels):
+        """gamma 1, beta 0, mean 0, var 1, in float32."""
+        return cls(*(np.full(channels, v, np.float32) for v in (1, 0, 0, 1)))
 
     @property
     def channels(self) -> int:
@@ -195,34 +205,28 @@ def conv2d_backward(
     return grad_input, grad_weights, grad_bias
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.1) -> np.ndarray:
-    """max(x, slope * x), for 0 < slope < 1.
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    """max(x, s * x) with s = LEAKY_SLOPE.
 
-    For such slopes this equals ``where(x >= 0, x, slope * x)`` bit for bit,
+    As 0 < s < 1, this equals ``where(x >= 0, x, s * x)`` bit for bit,
     signed zeros, subnormals, infinities and NaN included, but needs no
     select over the sign mask, which is slow on inputs of mixed sign.
     """
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {slope}")
-    out = x * np.asarray(slope, dtype=x.dtype)
+    out = x * np.asarray(LEAKY_SLOPE, dtype=x.dtype)
     return np.maximum(x, out, out=out)
 
 
-def leaky_relu_backward(
-    mask: np.ndarray, grad_out: np.ndarray, slope: float = 0.1
-) -> np.ndarray:
+def leaky_relu_backward(mask: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """grad_out times the leaky ReLU's slope at x, from mask = (x >= 0).
 
     The mask comes from the input and not the output: a negative subnormal
-    x gives ``slope * x == -0``, whose output passes ``>= 0``.  The factor is
-    ``mask * (1 - s) + s`` with s the slope in grad_out's dtype, exactly 1
-    or s because round-to-nearest makes ``(1 - s) + s`` exactly 1 for every
-    s in (0, 1); so the result equals ``grad_out * where(mask, 1, s)`` bit
-    for bit, without the select.
+    x gives ``s * x == -0``, whose output passes ``>= 0``.  The factor is
+    ``mask * (1 - s) + s`` with s = LEAKY_SLOPE in grad_out's dtype, exactly
+    1 or s because round-to-nearest makes ``(1 - s) + s`` exactly 1 for
+    every s in (0, 1); so the result equals ``grad_out * where(mask, 1, s)``
+    bit for bit, without the select.
     """
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {slope}")
-    s = np.asarray(slope, dtype=grad_out.dtype)
+    s = np.asarray(LEAKY_SLOPE, dtype=grad_out.dtype)
     factor = np.multiply(mask, 1 - s, dtype=grad_out.dtype)
     factor += s
     factor *= grad_out
@@ -312,4 +316,4 @@ def fold_batch_norm(conv: ConvParams, bn: BatchNormParams) -> ConvParams:
     scale = bn.gamma / np.sqrt(bn.var + bn.eps)
     weights = (conv.weights * scale[:, None, None, None]).astype(conv.weights.dtype)
     bias = (bn.beta + (conv.bias - bn.mean) * scale).astype(conv.bias.dtype)
-    return ConvParams(conv.kernel, conv.stride, conv.in_ch, conv.out_ch, weights, bias)
+    return ConvParams(conv.stride, weights, bias)

@@ -265,7 +265,14 @@ def colour_matrix(brightness, contrast, saturation, hue_deg):
     return contrast * brightness * (np.eye(3) + np.linalg.solve(a, chroma @ a))
 
 
-def augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
+# augment's draws: a flip with probability FLIP_PROB; brightness, contrast
+# and saturation scales in 1 ± JITTER; a hue rotation within ±HUE_MAX_DEG.
+FLIP_PROB = 0.5
+JITTER = 0.25
+HUE_MAX_DEG = 18.0
+
+
+def augment(image, boxes, rng):
     """Random horizontal flip plus brightness/contrast/saturation/hue jitter.
 
     Operates on 8-bit RGB before any YUV conversion; box sizes are untouched
@@ -274,12 +281,12 @@ def augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
     offset that makes the contrast scale about the image mean.  The result
     is clipped and rounded once, back to 8 bits.
     """
-    if rng.random() < flip_prob:
+    if rng.random() < FLIP_PROB:
         image, boxes = hflip(image, boxes)
-    brightness = rng.uniform(1 - jitter, 1 + jitter)
-    contrast = rng.uniform(1 - jitter, 1 + jitter)
-    saturation = rng.uniform(1 - jitter, 1 + jitter)
-    hue_deg = rng.uniform(-hue_max_deg, hue_max_deg)
+    brightness = rng.uniform(1 - JITTER, 1 + JITTER)
+    contrast = rng.uniform(1 - JITTER, 1 + JITTER)
+    saturation = rng.uniform(1 - JITTER, 1 + JITTER)
+    hue_deg = rng.uniform(-HUE_MAX_DEG, HUE_MAX_DEG)
     matrix = colour_matrix(brightness, contrast, saturation, hue_deg)
     offset = (1 - contrast) * brightness * image.mean()
     # C-ordered: on the F-ordered `matrix.T.astype(...)` numpy's matmul takes

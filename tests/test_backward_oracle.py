@@ -265,7 +265,7 @@ def test_layer1_backward_runs_without_later_entries(monkeypatch):
 
 
 def test_input_grad_false_keeps_weight_and_bias_gradients(rng):
-    conv = ConvParams(3, 2, 3, 4, rng.normal(0, 1, (4, 3, 3, 3)), rng.normal(0, 1, 4))
+    conv = ConvParams(2, rng.normal(0, 1, (4, 3, 3, 3)), rng.normal(0, 1, 4))
     x = rng.normal(0, 1, (5, 3, 8, 8))
     g = rng.normal(0, 1, (5, 4, 4, 4))
     gx, gw, gb = conv2d_backward(x, conv, g, input_grad=False)

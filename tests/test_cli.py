@@ -401,6 +401,54 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, case", [
+        (command, case)
+        for command in ("anchors", "train", "eval")
+        for case in ("empty_index", "one_field_index", "four_field_annotation",
+                     "truncated_image")
+        if not (command == "eval" and case == "four_field_annotation")
+    ])
+    def test_malformed_dataset_is_validation_error(self, weights_file, tmp_path, capsys,
+                                                   command, case):
+        data = tmp_path / "bad"
+        generate_toy_dataset(2, "A", seed=2, out_dir=data)
+        index = data / "index.txt"
+        want = {
+            "empty_index": f"{index}: empty dataset index",
+            "one_field_index": f"{index}:1: expected 'image annotations'",
+            "four_field_annotation": (f"{data / 'img_00001.txt'}:1: expected "
+                                      "'class_id cx cy w h', got 4 fields"),
+            "truncated_image": (f"{data / 'img_00001.ppm'}: truncated pixel data: "
+                                "147446 of 147456 bytes"),
+        }[case]
+        if case == "empty_index":
+            index.write_text("")
+        elif case == "one_field_index":
+            index.write_text("img_00000.ppm\n")
+        elif case == "truncated_image":
+            image = data / "img_00001.ppm"
+            image.write_bytes(image.read_bytes()[:-10])
+        else:
+            (data / "img_00001.txt").write_text("0 0.5 0.5 0.1\n")
+        out = tmp_path / "out"
+        argv = {
+            "anchors": ["anchors", "--data", str(data), "--out", str(out)],
+            "train": ["train", "--data", str(data), "--out", str(out)],
+            "eval": ["eval", "--data", str(data), "--weights", str(weights_file),
+                     "--out", str(out)],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {want}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_missing_index_stays_runtime_error(self, tmp_path, capsys):
+        code = main(["anchors", "--data", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: no index.txt in {tmp_path}\n"
+
 
 def test_cli_docs_name_the_registered_commands():
     parser = build_parser()

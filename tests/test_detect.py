@@ -460,7 +460,7 @@ def head_outputs(draw, coarse=False):
     ``coarse`` draws raw values from a few levels, so confidences tie."""
     gh, gw = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     owned = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True)))
-    head = HeadSpec("head", 1, owned)
+    head = HeadSpec("head", owned)
     if coarse:
         elements = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0])
     else:
@@ -580,6 +580,13 @@ class TestIouMatrix:
         want = np.array([[iou(x, y) for y in b] for x in a], dtype=np.float64)
         assert got.shape == (len(a), len(b))
         assert got.tobytes() == want.reshape(len(a), len(b)).tobytes()
+
+    def test_areas_that_underflow_give_zero(self):
+        # The sides overlap, but every area and the intersection round to 0.
+        box = BBox(0.0, 0.0, 2.0**-52, 2.0**-1030)
+        assert iou(box, box) == 0.0
+        cols = np.array([[box.cx], [box.cy], [box.w], [box.h]])
+        assert iou_matrix(cols, cols).tolist() == [[0.0]]
 
     def test_touching_boxes_are_zero(self):
         a = np.array([[0.25], [0.5], [0.5], [1.0]])

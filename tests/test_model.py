@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import struct
 
 import numpy as np
@@ -54,7 +55,7 @@ class TestBuilders:
     def test_robo_backbone_structure(self):
         spec = build_robo(2)
         assert len(spec.layers) == 15
-        strided = [l.index for l in spec.layers if l.stride == 2]
+        strided = [i for i, l in enumerate(spec.layers, start=1) if l.stride == 2]
         assert len(strided) == 6
         assert strided[:3] == [1, 2, 3]
         assert max(l.out_ch for l in spec.layers) == 256
@@ -101,6 +102,24 @@ class TestBuilders:
     def test_robo_hr_rejects_other_k(self, k):
         with pytest.raises(ValueError, match=f"robo_hr .*k must be 1, got {k}"):
             model.build_spec("robo_hr", k)
+
+    # Input size, then (source layer, grid) of head_lo and head_hi, as the
+    # builders gave them when each head stored its source layer.
+    @pytest.mark.parametrize("name, k, input_hw, lo, hi", [
+        ("robo", 1, (192, 256), (15, (3, 4)), (9, (6, 8))),
+        ("robo", 2, (384, 512), (15, (6, 8)), (9, (12, 16))),
+        ("robo_bn", 1, (192, 256), (19, (3, 4)), (11, (6, 8))),
+        ("robo_bn", 2, (384, 512), (19, (6, 8)), (11, (12, 16))),
+        ("robo_hr", 1, (192, 256), (14, (6, 8)), (8, (12, 16))),
+    ])
+    def test_input_size_head_sources_and_grids(self, name, k, input_hw, lo, hi):
+        spec = model.build_spec(name, k)
+        assert spec.input_hw == input_hw
+        for head_name, (source, grid) in ((HEAD_LO, lo), (HEAD_HI, hi)):
+            head = spec.head(head_name)
+            assert spec.head_source(head) == source
+            assert spec.layers[source - 1].tap == head_name
+            assert spec.head_grid(head) == grid
 
 
 def _layer_params(spec):
@@ -451,6 +470,31 @@ class TestWeightFile:
             load_weights(path)
         except WeightFormatError as exc:
             assert str(exc).startswith(f"{path}: ")
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # Every stored value of a robo k=1 net set from np.arange, no RNG; the
+        # digest was recorded when the format was defined, so a change to it
+        # needs a new WEIGHT_VERSION.
+        net = init_network(build_robo(1), seed=0)
+        for _, layer in net.all_layers():
+            c = layer.conv
+            c.weights[...] = (np.arange(c.weights.size) % 251 - 125).reshape(c.weights.shape) / 128
+            c.bias[...] = np.arange(c.bias.size) / 64
+            layer.mask[...] = (np.arange(layer.mask.size) % 3 != 0).reshape(layer.mask.shape)
+            if layer.bn is not None:
+                n = layer.bn.channels
+                layer.bn.gamma[...] = 1 + np.arange(n) / 32
+                layer.bn.beta[...] = np.arange(n) / 16 - 1
+                layer.bn.mean[...] = np.arange(n) / 8
+                layer.bn.var[...] = 0.5 + np.arange(n) / 4
+        net.anchors[...] = np.arange(8).reshape(4, 2) / 16 + 0.0625
+        path = tmp_path / "net.rbw"
+        save_weights(net, path)
+        blob = path.read_bytes()
+        assert WEIGHT_VERSION == 1
+        assert len(blob) == 2356851
+        assert hashlib.sha256(blob).hexdigest() == (
+            "156a7d8ff9e6ad8af1b1b9adfcb7ffd861534bcf8ab38a74afd2d9c0f5250c35")
 
     def test_load_reapplies_masks(self, tmp_path):
         net = init_network(build_robo(1), seed=0)

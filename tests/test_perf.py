@@ -85,7 +85,7 @@ class TestCountMacs:
         # class.
         for spec in (build_robo_bn(2), build_robo_hr()):
             want = [l.kernel**2 * l.in_ch * l.out_ch for l in spec.layers]
-            want += [(spec.layers[h.source_layer - 1].out_ch + 1) * 5 * len(h.classes_owned)
+            want += [(spec.layers[spec.head_source(h) - 1].out_ch + 1) * 5 * len(h.classes_owned)
                      for h in spec.heads]
             assert [l.params for l in count_macs(spec).layers] == want, spec.name
 

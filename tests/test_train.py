@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import math
 import weakref
@@ -384,6 +385,17 @@ class TestDetectionLoss:
         assert collisions == want_collisions
 
 
+@contextlib.contextmanager
+def augment_settings(flip_prob=train_mod.FLIP_PROB, jitter=train_mod.JITTER,
+                     hue_max_deg=train_mod.HUE_MAX_DEG):
+    """augment's draw ranges set to the given values while the block runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_mod, "FLIP_PROB", flip_prob)
+        mp.setattr(train_mod, "JITTER", jitter)
+        mp.setattr(train_mod, "HUE_MAX_DEG", hue_max_deg)
+        yield
+
+
 # Float64 reference of augment, written out step by step: brightness,
 # contrast about the mean, then saturation and hue on each pixel's BT.601
 # chroma.  augment folds these into one float32 affine map, so the two agree
@@ -410,7 +422,8 @@ def reference_augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg
 
 def assert_augment_matches_reference(image, seed, **kw):
     boxes = [Annotation(0, BBox(0.3, 0.4, 0.1, 0.2))]
-    got, got_boxes = augment(image, boxes, np.random.default_rng(seed), **kw)
+    with augment_settings(**kw):
+        got, got_boxes = augment(image, boxes, np.random.default_rng(seed))
     want, want_boxes = reference_augment(image, boxes, np.random.default_rng(seed), **kw)
     assert got.dtype == np.uint8 and got.shape == image.shape
     assert np.abs(got.astype(int) - want).max(initial=0) <= 1
@@ -509,16 +522,16 @@ class TestAugment:
     def test_identity_when_disabled(self, rng):
         img = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
         boxes = [Annotation(2, BBox(0.5, 0.5, 0.2, 0.2))]
-        out, boxes2 = augment(img, boxes, np.random.default_rng(0),
-                              flip_prob=0.0, jitter=0.0, hue_max_deg=0.0)
+        with augment_settings(flip_prob=0.0, jitter=0.0, hue_max_deg=0.0):
+            out, boxes2 = augment(img, boxes, np.random.default_rng(0))
         np.testing.assert_array_equal(out, img)
         assert boxes2 == boxes
 
     def test_photometric_keeps_box_geometry(self, rng):
         img = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
         boxes = [Annotation(2, BBox(0.5, 0.5, 0.2, 0.2))]
-        _, boxes2 = augment(img, boxes, np.random.default_rng(1),
-                            flip_prob=0.0)
+        with augment_settings(flip_prob=0.0):
+            _, boxes2 = augment(img, boxes, np.random.default_rng(1))
         assert boxes2[0].box.w == pytest.approx(0.2)
         assert boxes2[0].box.h == pytest.approx(0.2)
 
@@ -593,7 +606,8 @@ def test_augment_bitwise_equals_f_ordered_copy(micro_dataset):
     for image in images:
         for seed in range(6):
             for kw in ({}, {"jitter": 0.9, "hue_max_deg": 180.0}):
-                got, got_boxes = augment(image, boxes, np.random.default_rng(seed), **kw)
+                with augment_settings(**kw):
+                    got, got_boxes = augment(image, boxes, np.random.default_rng(seed))
                 want, want_boxes = augment_f_ordered(image, boxes, np.random.default_rng(seed),
                                                      **kw)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
