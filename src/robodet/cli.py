@@ -148,8 +148,9 @@ def _check_image_size(spec: model_mod.ModelSpec, source, size) -> None:
 
 
 def _read_index(path) -> data_mod.DatasetIndex:
-    """load_index with a malformed index or images of different sizes as a
-    validation error; a missing file stays a runtime error."""
+    """load_index with a malformed index or annotation file, or images of
+    different sizes, as a validation error; a missing file stays a runtime
+    error."""
     try:
         return data_mod.load_index(path)
     except ValueError as exc:
@@ -177,15 +178,10 @@ def _check_out(path) -> None:
 
 
 def _dataset_anchors(index: data_mod.DatasetIndex) -> np.ndarray:
-    """compute_anchors over a dataset, with a malformed annotation file as a
-    validation error, and a class that has no box there as one naming the
-    dataset directory."""
+    """compute_anchors over a dataset, with a class that has no box there as
+    a validation error naming the dataset directory."""
     try:
-        annotations = data_mod.load_all_annotations(index)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        return detect_mod.compute_anchors(annotations)
+        return detect_mod.compute_anchors(data_mod.load_all_annotations(index))
     except ValueError as exc:
         raise CliError(f"{index.root}: {exc}") from exc
 

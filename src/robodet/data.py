@@ -38,6 +38,7 @@ class DatasetIndex:
     root: Path
     entries: list[tuple[str, str]]  # (image path, annotation path), relative
     image_size: tuple[int, int]  # (width, height) in pixels
+    annotations: list[list[Annotation]]  # one list per entry, read by load_index
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -220,11 +221,13 @@ def rgb_to_yuv(image: np.ndarray) -> np.ndarray:
 
 
 def load_index(root) -> DatasetIndex:
-    """The dataset at root, after reading every image's header.
+    """The dataset at root, after reading every image's header and then
+    every annotation file.
 
-    An image file that is missing raises FileNotFoundError naming its index
-    line; a malformed index line, an empty index, an unreadable image header
-    and images of different sizes raise ValueError.
+    An image or annotation file that is missing raises FileNotFoundError
+    naming its index line; a malformed index line, an empty index, an
+    unreadable image header, images of different sizes and a malformed
+    annotation file raise ValueError.
     """
     root = Path(root)
     index_path = root / INDEX_FILE
@@ -238,8 +241,9 @@ def load_index(root) -> DatasetIndex:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{index_path}:{lineno}: expected 'image annotations'")
-        if not os.path.isfile(root / parts[0]):
-            raise FileNotFoundError(f"{index_path}:{lineno}: no image file {parts[0]!r}")
+        for kind, rel in zip(("image", "annotation"), parts):
+            if not os.path.isfile(root / rel):
+                raise FileNotFoundError(f"{index_path}:{lineno}: no {kind} file {rel!r}")
         entries.append((parts[0], parts[1]))
     if not entries:
         raise ValueError(f"{index_path}: empty dataset index")
@@ -252,14 +256,14 @@ def load_index(root) -> DatasetIndex:
                 f"{root / img_rel}: image size {size[0]}x{size[1]} differs from "
                 f"{image_size[0]}x{image_size[1]} of {first}"
             )
-    return DatasetIndex(root, entries, image_size)
+    annotations = [load_annotations(root / ann_rel) for _, ann_rel in entries]
+    return DatasetIndex(root, entries, image_size, annotations)
 
 
 def load_sample(index: DatasetIndex, i: int):
-    img_rel, ann_rel = index.entries[i]
-    image = read_ppm(index.root / img_rel)
-    annotations = load_annotations(index.root / ann_rel)
-    return image, annotations
+    """(image, annotations) of entry i: the image is read from its file, the
+    annotations are the ones load_index read."""
+    return read_ppm(index.root / index.entries[i][0]), index.annotations[i]
 
 
 def load_all_samples(index: DatasetIndex):
@@ -268,10 +272,7 @@ def load_all_samples(index: DatasetIndex):
 
 
 def load_all_annotations(index: DatasetIndex) -> list[Annotation]:
-    out = []
-    for _, ann_rel in index.entries:
-        out.extend(load_annotations(index.root / ann_rel))
-    return out
+    return [ann for annotations in index.annotations for ann in annotations]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,9 @@ def generate_toy_dataset(n_images: int, style: str = "A", seed: int = 0, out_dir
     """Render n deterministic 256x192 field scenes with exact annotations.
 
     Each image holds 0..4 objects; classes are dealt from a shuffled
-    round-robin stream so the dataset stays balanced.
+    round-robin stream so the dataset stays balanced.  The returned index is
+    load_index of out_dir, so it holds the annotations as written, to 6
+    decimals.
     """
     if n_images < 1:
         raise ValueError("n_images must be >= 1")
@@ -403,4 +406,4 @@ def generate_toy_dataset(n_images: int, style: str = "A", seed: int = 0, out_dir
     with open(out / INDEX_FILE, "w") as f:
         for img_name, ann_name in entries:
             f.write(f"{img_name} {ann_name}\n")
-    return DatasetIndex(out, entries, (TOY_WIDTH, TOY_HEIGHT))
+    return load_index(out)

@@ -220,10 +220,10 @@ def evaluate(net, index, criteria=None, conf_threshold: float = 0.01):
     return evaluate_detections(per_image_dets, per_image_gts, criteria)
 
 
-def map_at_distance(net, index, distance_px: float = 16.0, **kwargs) -> float:
+def map_at_distance(net, index, distance_px: float = 16.0) -> float:
     """Convenience: mAP under a single center-distance criterion."""
     crit = MatchCriterion("center_distance", distance_px, index.image_size)
-    return evaluate(net, index, criteria=[crit], **kwargs)[0].map
+    return evaluate(net, index, criteria=[crit])[0].map
 
 
 def write_report_csv(path, rows) -> None:

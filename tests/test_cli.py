@@ -14,7 +14,7 @@ from robodet import cli
 from robodet import train as train_mod
 from robodet.cli import box_pixel_rect, build_parser, main, render_overlay
 from robodet.data import generate_toy_dataset, load_index, read_ppm, write_ppm
-from robodet.detect import BBox, Detection, load_anchors
+from robodet.detect import BBox, Detection, load_anchors, save_anchors
 from robodet.evaluate import evaluate
 from robodet.model import (
     CLASS_NAMES,
@@ -41,6 +41,32 @@ def weights_file(tmp_path_factory):
     net = init_network(build_robo(1), seed=0)
     save_weights(net, path)
     return path
+
+
+# Every command that reads a dataset; `train_anchors` is train --anchors.
+DATASET_COMMANDS = ("anchors", "train", "train_anchors", "transfer", "prune", "eval")
+
+
+def dataset_argv(command, data, weights_file, tmp_path):
+    """argv running command on the dataset at data, writing to tmp_path/out."""
+    out = str(tmp_path / "out")
+    if command == "train_anchors":
+        save_anchors(tmp_path / "anchors.txt", np.full((len(CLASS_NAMES), 2), 0.1))
+    return {
+        "anchors": ["anchors", "--data", str(data), "--out", out],
+        "train": ["train", "--data", str(data), "--out", out],
+        "train_anchors": ["train", "--data", str(data), "--anchors",
+                          str(tmp_path / "anchors.txt"), "--out", out],
+        "transfer": ["transfer", "--weights", str(weights_file), "--data", str(data),
+                     "--transfer-layers", "4", "--out", out],
+        "prune": ["prune", "--weights", str(weights_file), "--finetune",
+                  "--data", str(data), "--out", out],
+        "eval": ["eval", "--data", str(data), "--weights", str(weights_file), "--out", out],
+    }[command]
+
+
+def no_read(path):
+    raise AssertionError(f"sample {path} read before the dataset was checked")
 
 
 @pytest.fixture(scope="module")
@@ -378,38 +404,23 @@ class TestExitCodes:
         data = tmp_path / "mixed"
         generate_toy_dataset(4, "A", seed=2, out_dir=data)
         write_ppm(data / "img_00002.ppm", np.zeros((96, 128, 3), dtype=np.uint8))
-
-        def no_read(path):
-            raise AssertionError(f"sample {path} read before the size check")
-
         monkeypatch.setattr(cli.data_mod, "read_ppm", no_read)
-        out = tmp_path / "out"
-        argv = {
-            "train": ["train", "--data", str(data), "--out", str(out)],
-            "transfer": ["transfer", "--weights", str(weights_file), "--data", str(data),
-                         "--transfer-layers", "4", "--out", str(out)],
-            "prune": ["prune", "--weights", str(weights_file), "--finetune",
-                      "--data", str(data), "--out", str(out)],
-            "eval": ["eval", "--data", str(data), "--weights", str(weights_file),
-                     "--out", str(out)],
-        }[command]
-        code = main(argv)
+        code = main(dataset_argv(command, data, weights_file, tmp_path))
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == (f"error: {data / 'img_00002.ppm'}: image size 128x96 "
                                 f"differs from 256x192 of {data / 'img_00000.ppm'}\n")
         assert captured.out == ""
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, case", [
         (command, case)
-        for command in ("anchors", "train", "eval")
+        for command in DATASET_COMMANDS
         for case in ("empty_index", "one_field_index", "four_field_annotation",
                      "truncated_image")
-        if not (command == "eval" and case == "four_field_annotation")
     ])
     def test_malformed_dataset_is_validation_error(self, weights_file, tmp_path, capsys,
-                                                   command, case):
+                                                   monkeypatch, command, case):
         data = tmp_path / "bad"
         generate_toy_dataset(2, "A", seed=2, out_dir=data)
         index = data / "index.txt"
@@ -430,19 +441,28 @@ class TestExitCodes:
             image.write_bytes(image.read_bytes()[:-10])
         else:
             (data / "img_00001.txt").write_text("0 0.5 0.5 0.1\n")
-        out = tmp_path / "out"
-        argv = {
-            "anchors": ["anchors", "--data", str(data), "--out", str(out)],
-            "train": ["train", "--data", str(data), "--out", str(out)],
-            "eval": ["eval", "--data", str(data), "--weights", str(weights_file),
-                     "--out", str(out)],
-        }[command]
-        code = main(argv)
+        monkeypatch.setattr(cli.data_mod, "read_ppm", no_read)
+        code = main(dataset_argv(command, data, weights_file, tmp_path))
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == f"error: {want}\n"
         assert captured.out == ""
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", DATASET_COMMANDS)
+    def test_missing_annotation_file_is_runtime_error(self, weights_file, tmp_path, capsys,
+                                                      monkeypatch, command):
+        data = tmp_path / "bad"
+        generate_toy_dataset(2, "A", seed=2, out_dir=data)
+        (data / "img_00001.txt").unlink()
+        monkeypatch.setattr(cli.data_mod, "read_ppm", no_read)
+        code = main(dataset_argv(command, data, weights_file, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error: {data / 'index.txt'}:2: no annotation file "
+                                "'img_00001.txt'\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_missing_index_stays_runtime_error(self, tmp_path, capsys):
         code = main(["anchors", "--data", str(tmp_path)])

@@ -373,6 +373,21 @@ class TestToyGenerator:
             load_index(tmp_path)
         assert str(info.value) == f"{tmp_path / 'index.txt'}:4: no image file {name!r}"
 
+    @pytest.mark.parametrize("name", ["missing.txt", "sub", "."])
+    def test_missing_annotation_names_index_line(self, tmp_path, name):
+        generate_toy_dataset(2, "A", seed=1, out_dir=tmp_path)
+        (tmp_path / "sub").mkdir()
+        with open(tmp_path / "index.txt", "a") as f:
+            f.write(f"img_00000.ppm {name}\n")
+        with pytest.raises(FileNotFoundError) as info:
+            load_index(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'index.txt'}:3: no annotation file {name!r}"
+
+    def test_index_holds_the_annotations_as_written(self, tmp_path):
+        index = generate_toy_dataset(4, "A", seed=1, out_dir=tmp_path)
+        assert index.annotations == [load_annotations(tmp_path / ann) for _, ann in index.entries]
+        assert load_index(tmp_path) == index
+
     def test_bad_args(self, tmp_path):
         with pytest.raises(ValueError, match="n_images"):
             generate_toy_dataset(0, "A", 0, tmp_path)
@@ -382,14 +397,14 @@ class TestToyGenerator:
 
 @pytest.fixture(scope="module")
 def index_dir(tmp_path_factory):
-    """A dataset directory with images of two sizes, a bad image, an
-    annotation file and a subdirectory, for index.txt files to point at."""
+    """A dataset directory with images of two sizes, a bad image and a
+    subdirectory, for index.txt files (and the a.txt each example writes) to
+    point at."""
     root = tmp_path_factory.mktemp("index_fuzz")
     write_ppm(root / "a.ppm", np.zeros((3, 4, 3), dtype=np.uint8))
     write_ppm(root / "b.ppm", np.ones((3, 4, 3), dtype=np.uint8))
     write_ppm(root / "small.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
     (root / "bad.ppm").write_bytes(b"P6\n4 3\n255\n")
-    (root / "a.txt").write_text("0 0.5 0.5 0.1 0.1\n")
     (root / "sub").mkdir()
     return root
 
@@ -408,12 +423,20 @@ def test_load_index_fuzz_raises_only_documented_errors(index_dir, data):
         st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
                  min_size=1, max_size=4).map(lambda flips: flip_bytes(valid, flips)),
     ))
+    valid_ann = b"0 0.5 0.5 0.1 0.1\n"
+    ann = data.draw(st.one_of(
+        st.just(valid_ann),
+        st.binary(max_size=32),
+        st.lists(st.tuples(st.integers(0, len(valid_ann) - 1), st.integers(0, 255)),
+                 min_size=1, max_size=4).map(lambda flips: flip_bytes(valid_ann, flips)),
+    ))
     (index_dir / "index.txt").write_bytes(raw)
+    (index_dir / "a.txt").write_bytes(ann)
     try:
         index = load_index(index_dir)
     except (ValueError, FileNotFoundError) as exc:
         assert not isinstance(exc, UnicodeDecodeError)
         assert str(index_dir) in str(exc)
     else:
-        assert len(index) >= 1
+        assert len(index) >= 1 and len(index.annotations) == len(index)
         assert {ppm_size(index_dir / img) for img, _ in index.entries} == {index.image_size}

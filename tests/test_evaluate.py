@@ -575,7 +575,8 @@ def eval_set(tmp_path_factory):
 
 
 def first_images(index, n):
-    return DatasetIndex(index.root, index.entries[:n], index.image_size)
+    return DatasetIndex(index.root, index.entries[:n], index.image_size,
+                        index.annotations[:n])
 
 
 @pytest.mark.parametrize("n", [1, 4, 5, 7])

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from robodet.data import BT601, Annotation, generate_toy_dataset, load_all_samples
+import robodet.data
+from robodet.data import BT601, Annotation, generate_toy_dataset, load_all_samples, load_index
 from robodet.detect import BBox, encode, sigmoid
+from robodet.evaluate import evaluate
 from robodet import train as train_mod
 from robodet.model import CLASS_NAMES, HEAD_HI, HEAD_LO, build_robo, init_network, save_weights
 from robodet.train import (
@@ -857,7 +859,8 @@ class TestTrainLoop:
 
     def test_zero_finetune_epochs_reads_nothing(self, tmp_path):
         data = generate_toy_dataset(2, "A", seed=0, out_dir=tmp_path / "d")
-        (tmp_path / "d" / data.entries[0][1]).write_text("not an annotation\n")
+        image = tmp_path / "d" / data.entries[0][0]
+        image.write_bytes(image.read_bytes()[:-10])
         net = init_network(build_robo(1), seed=2)
         prune(net, 0.3)
         before = tmp_path / "before.rbw"
@@ -866,6 +869,23 @@ class TestTrainLoop:
         assert finetune_pruned(net, data, micro_cfg(finetune_epochs=0), LossWeights()) is net
         save_weights(net, after)
         assert after.read_bytes() == before.read_bytes()
+
+    def test_annotations_are_read_once_by_load_index(self, tmp_path, monkeypatch):
+        generate_toy_dataset(3, "A", seed=0, out_dir=tmp_path)
+        read = []
+        load_annotations = robodet.data.load_annotations
+
+        def spy(path):
+            read.append(path)
+            return load_annotations(path)
+
+        monkeypatch.setattr(robodet.data, "load_annotations", spy)
+        index = load_index(tmp_path)
+        assert len(read) == len(index)
+        net = _tiny_net()
+        evaluate(net, index)
+        train_loop(net, index, micro_cfg(epochs=1), LossWeights())
+        assert len(read) == len(index)
 
     def test_layer_lr_scale_by_position(self):
         net = init_network(build_robo(1), seed=0)
