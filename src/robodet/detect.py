@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CLASS_NAMES, HeadSpec
+from .model import ANCHOR_MAX, ANCHOR_MIN, CLASS_NAMES, HeadSpec
 from .tensor import ShapeError
 
 DEFAULT_CONF_THRESHOLD = 0.5
@@ -230,11 +230,6 @@ def format_detections(detections) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# The anchor sizes a float32 table holds as finite, positive (normal) numbers.
-_ANCHOR_MIN = float(np.finfo(np.float32).tiny)
-_ANCHOR_MAX = float(np.finfo(np.float32).max)
-
-
 def save_anchors(path, anchors: np.ndarray) -> None:
     with open(path, "w") as f:
         for name, (aw, ah) in zip(CLASS_NAMES, anchors):
@@ -255,7 +250,7 @@ def load_anchors(path) -> np.ndarray:
                 size = (float(parts[1]), float(parts[2]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric anchor size") from None
-            if not all(_ANCHOR_MIN <= v <= _ANCHOR_MAX for v in size):  # False for NaN
+            if not all(ANCHOR_MIN <= v <= ANCHOR_MAX for v in size):  # False for NaN
                 raise ValueError(f"{path}:{lineno}: anchor size must be finite and positive")
             table[parts[0]] = size
     missing = [n for n in CLASS_NAMES if n not in table]

@@ -33,6 +33,10 @@ HEAD_HI = "head_hi"
 WEIGHT_MAGIC = b"ROBO"
 WEIGHT_VERSION = 1
 
+# The anchor sizes a float32 table holds as finite, positive (normal) numbers.
+ANCHOR_MIN = float(np.finfo(np.float32).tiny)
+ANCHOR_MAX = float(np.finfo(np.float32).max)
+
 
 class WeightFormatError(ValueError):
     """Base error for weight file problems."""
@@ -450,47 +454,52 @@ def load_weights(path) -> Network:
         spec = build_spec(name.decode(), k)
     except ValueError:  # also an undecodable name (UnicodeDecodeError)
         raise SpecMismatchError(f"{path}: no model {name!r} at k={k}") from None
-    net = init_network(spec, seed=0)
-    expected = list(net.all_layers())
-    if layer_count != len(expected):
+    if layer_count != len(spec.layers) + 2:
         raise SpecMismatchError(
-            f"{path}: {layer_count} layers in file, spec {spec.name} has {len(expected)}"
+            f"{path}: {layer_count} layers in file, spec {spec.name} has {len(spec.layers) + 2}"
         )
-    for lname, layer in expected:
+
+    def read_layer(lname: str, ls: LayerSpec, has_bn: bool) -> Layer:
         r.context = f"layer {lname}"
-        kernel, stride, in_ch, out_ch = r.unpack("<HHHH")
-        c = layer.conv
-        if (kernel, stride, in_ch, out_ch) != (c.kernel, c.stride, c.in_ch, c.out_ch):
+        geometry, want = r.unpack("<HHHH"), (ls.kernel, ls.stride, ls.in_ch, ls.out_ch)
+        if geometry != want:
             raise SpecMismatchError(
-                f"{path}: layer {lname} geometry "
-                f"{(kernel, stride, in_ch, out_ch)} does not match spec "
-                f"{(c.kernel, c.stride, c.in_ch, c.out_ch)}"
+                f"{path}: layer {lname} geometry {geometry} does not match spec {want}"
             )
+        shape = (ls.out_ch, ls.in_ch, ls.kernel, ls.kernel)
+        size = math.prod(shape)
         (wcount,) = r.unpack("<I")
-        if wcount != c.weights.size:
+        if wcount != size:
             raise SpecMismatchError(
-                f"{path}: layer {lname} has {wcount} weights, spec expects {c.weights.size}"
+                f"{path}: layer {lname} has {wcount} weights, spec expects {size}"
             )
-        c.weights = r.floats(wcount).reshape(c.weights.shape)
-        c.bias = r.floats(out_ch)
+        conv = ConvParams(ls.stride, r.floats(size).reshape(shape), r.floats(ls.out_ch))
         (bn_flag,) = r.unpack("<B")
-        if bn_flag != (layer.bn is not None):
+        if bn_flag != has_bn:
             raise SpecMismatchError(f"{path}: layer {lname} batch norm flag mismatch")
-        if bn_flag:
-            vals = r.floats(4 * out_ch).reshape(4, out_ch)
-            layer.bn.gamma, layer.bn.beta = vals[0], vals[1]
-            layer.bn.mean, layer.bn.var = vals[2], vals[3]
+        bn_rows = r.floats(4 * ls.out_ch).reshape(4, ls.out_ch) if has_bn else np.zeros(0)
         (mask_bytes,) = r.unpack("<I")
-        packed_size = -(-c.weights.size // 8)
-        if mask_bytes != packed_size:
+        if mask_bytes != -(-size // 8):
             raise SpecMismatchError(
-                f"{path}: layer {lname} mask has {mask_bytes} bytes, spec expects {packed_size}"
+                f"{path}: layer {lname} mask has {mask_bytes} bytes, spec expects {-(-size // 8)}"
             )
-        packed = np.frombuffer(r.take(mask_bytes), dtype=np.uint8)
-        bits = np.unpackbits(packed, bitorder="little")[: c.weights.size]
-        layer.mask = bits.astype(bool).reshape(c.weights.shape)
+        bits = np.unpackbits(np.frombuffer(r.take(mask_bytes), dtype=np.uint8), bitorder="little")
+        if not all(np.isfinite(a).all() for a in (conv.weights, conv.bias, bn_rows)):
+            raise WeightFormatError(f"{path}: layer {lname} stores a value that is not finite")
+        if has_bn and (bn_rows[3] < 0).any():
+            raise WeightFormatError(f"{path}: layer {lname} has a negative batch-norm variance")
+        bn = BatchNormParams(*bn_rows) if has_bn else None
+        return Layer(ls, conv, bn, bits[:size].astype(bool).reshape(shape))
+
+    # Batch norm goes by role: every backbone layer has it and no head does.
+    layers = [read_layer(f"l{i}", ls, True) for i, ls in enumerate(spec.layers, start=1)]
+    heads = {name: read_layer(name, head_layer_spec(spec, spec.head(name)), False)
+             for name in (HEAD_LO, HEAD_HI)}
     r.context = "anchors"
-    net.anchors = r.floats(2 * len(CLASS_NAMES)).reshape(len(CLASS_NAMES), 2)
+    anchors = r.floats(2 * len(CLASS_NAMES)).reshape(len(CLASS_NAMES), 2)
+    if not ((anchors >= ANCHOR_MIN) & (anchors <= ANCHOR_MAX)).all():  # False for NaN
+        raise WeightFormatError(f"{path}: anchors must be finite and positive")
+    net = Network(spec, layers, heads, anchors)
     net.apply_masks()
     return net
 

@@ -360,34 +360,61 @@ def weight_blob(tmp_path_factory):
 
 
 class TestWeightFile:
-    def test_round_trip_bitwise(self, tmp_path, rng):
-        net = init_network(build_robo(1), seed=11)
+    @pytest.mark.parametrize("build", [build_robo, build_robo_bn, build_robo_hr],
+                             ids=["robo", "robo_bn", "robo_hr"])
+    def test_round_trip_bitwise(self, tmp_path, rng, build):
+        net = init_network(build(1), seed=11)
         net.anchors = rng.random((4, 2)).astype(np.float32)
         net.layers[2].mask[0, 0] = False
         net.layers[2].apply_mask()
-        net.layers[0].bn.mean[:] = rng.normal(0, 1, 4).astype(np.float32)
+        for _, layer in net.all_layers():
+            layer.conv.bias[:] = rng.normal(0, 1, layer.conv.out_ch)
+            if layer.bn is not None:
+                for row in (layer.bn.gamma, layer.bn.beta, layer.bn.mean):
+                    row[:] = rng.normal(0, 1, layer.bn.channels)
+                layer.bn.var[:] = rng.random(layer.bn.channels)
         path = tmp_path / "net.rbw"
         save_weights(net, path)
         loaded = load_weights(path)
         assert loaded.spec == net.spec
-        for (_, la), (_, lb) in zip(net.all_layers(), loaded.all_layers()):
+        for (na, la), (nb, lb) in zip(net.all_layers(), loaded.all_layers()):
+            assert na == nb and la.spec == lb.spec and la.conv.stride == lb.conv.stride
             np.testing.assert_array_equal(la.conv.weights, lb.conv.weights)
             np.testing.assert_array_equal(la.conv.bias, lb.conv.bias)
             np.testing.assert_array_equal(la.mask, lb.mask)
+            assert (la.bn is None) == (lb.bn is None)
             if la.bn is not None:
                 np.testing.assert_array_equal(la.bn.gamma, lb.bn.gamma)
+                np.testing.assert_array_equal(la.bn.beta, lb.bn.beta)
                 np.testing.assert_array_equal(la.bn.mean, lb.bn.mean)
                 np.testing.assert_array_equal(la.bn.var, lb.bn.var)
         np.testing.assert_array_equal(net.anchors, loaded.anchors)
 
-    def test_robo_hr_round_trip(self, tmp_path):
-        net = init_network(build_robo_hr(), seed=3)
-        path = tmp_path / "hr.rbw"
+    def test_load_builds_no_random_network(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.rbw"
+        save_weights(init_network(build_robo(1), seed=0), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_weights must not draw random weights")
+
+        monkeypatch.setattr(model, "init_network", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert load_weights(path).spec == build_robo(1)
+
+    @pytest.mark.parametrize("where, array, value", [
+        ("layer l1", lambda net: net.layers[0].bn.var, -1.0),
+        ("layer l5", lambda net: net.layers[4].conv.weights, np.nan),
+        ("layer head_hi", lambda net: net.heads[HEAD_HI].conv.bias, np.inf),
+        ("anchors", lambda net: net.anchors, -0.5),
+    ], ids=["negative-var", "nan-weight", "inf-head-bias", "negative-anchor"])
+    def test_values_that_give_nan_heads_are_rejected(self, tmp_path, where, array, value):
+        net = init_network(build_robo(1), seed=0)
+        array(net).flat[0] = value
+        path = tmp_path / "net.rbw"
         save_weights(net, path)
-        loaded = load_weights(path)
-        assert loaded.spec == net.spec
-        for (_, la), (_, lb) in zip(net.all_layers(), loaded.all_layers()):
-            np.testing.assert_array_equal(la.conv.weights, lb.conv.weights)
+        with pytest.raises(WeightFormatError) as info:
+            load_weights(path)
+        assert str(info.value).startswith(f"{path}: {where} ")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rbw"
