@@ -2,8 +2,9 @@
 
     gen-data  anchors  train  transfer  prune  detect  eval  ops
 
-Exit codes: 0 success, 1 flag/validation error, 2 runtime failure.  All
-randomness flows from --seed.
+Exit codes: 0 success, 1 flag/validation error (a bad flag or bad input
+content: any ValueError), 2 runtime failure (a missing or unusable file or a
+failed run: OSError or RuntimeError).  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -47,13 +48,9 @@ _GLYPHS = {
 }
 
 
-class CliError(Exception):
-    """Validation failure surfaced as exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def box_pixel_rect(box, width: int, height: int):
@@ -104,14 +101,6 @@ def render_overlay(image: np.ndarray, detections, out_path) -> None:
     data_mod.write_ppm(out_path, canvas)
 
 
-def _build_spec(name: str, k) -> model_mod.ModelSpec:
-    """build_spec with a bad model/k pairing as a validation error (exit 1)."""
-    try:
-        return model_mod.build_spec(name, k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 # Flags that override the TrainConfig field of the same name.
 _CONFIG_FLAGS = ("epochs", "batch", "lr_max", "lr_min", "seed", "transfer_layers",
                  "finetune_epochs")
@@ -121,21 +110,16 @@ def _train_config(args) -> tuple[train_mod.TrainConfig, train_mod.LossWeights]:
     """TrainConfig and LossWeights from --config (or the defaults) with the
     command's flags on top; a flag the command lacks or leaves unset keeps
     the file's value.
-
-    A bad value, from either source, is a validation error (exit 1).
     """
     overrides = {k: getattr(args, k, None) for k in _CONFIG_FLAGS}
     l1 = getattr(args, "l1", None)
-    try:
-        if args.config:
-            cfg, lw = train_mod.parse_config(Path(args.config).read_text())
-        else:
-            cfg, lw = train_mod.TrainConfig(), train_mod.LossWeights()
-        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-        if l1 is not None:
-            lw = replace(lw, l1=l1)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.config:
+        cfg, lw = train_mod.parse_config(Path(args.config).read_text())
+    else:
+        cfg, lw = train_mod.TrainConfig(), train_mod.LossWeights()
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    if l1 is not None:
+        lw = replace(lw, l1=l1)
     return cfg, lw
 
 
@@ -143,18 +127,8 @@ def _check_image_size(spec: model_mod.ModelSpec, source, size) -> None:
     """Exit 1 unless a (width, height) image size is spec's input size."""
     h, w = spec.input_hw
     if size != (w, h):
-        raise CliError(f"{source}: image size {size[0]}x{size[1]} does not match the "
-                       f"{spec.name} k={spec.k} input {w}x{h}")
-
-
-def _read_index(path) -> data_mod.DatasetIndex:
-    """load_index with a malformed index or annotation file, or images of
-    different sizes, as a validation error; a missing file stays a runtime
-    error."""
-    try:
-        return data_mod.load_index(path)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError(f"{source}: image size {size[0]}x{size[1]} does not match the "
+                         f"{spec.name} k={spec.k} input {w}x{h}")
 
 
 def _load_index(path, spec: model_mod.ModelSpec):
@@ -162,7 +136,7 @@ def _load_index(path, spec: model_mod.ModelSpec):
     input size before any sample loads."""
     if not path:
         return None
-    index = _read_index(path)
+    index = data_mod.load_index(path)
     _check_image_size(spec, path, index.image_size)
     return index
 
@@ -178,20 +152,17 @@ def _check_out(path) -> None:
 
 
 def _dataset_anchors(index: data_mod.DatasetIndex) -> np.ndarray:
-    """compute_anchors over a dataset, with a class that has no box there as
-    a validation error naming the dataset directory."""
+    """compute_anchors over a dataset; a class that has no box there raises
+    ValueError naming the dataset directory."""
     try:
         return detect_mod.compute_anchors(data_mod.load_all_annotations(index))
     except ValueError as exc:
-        raise CliError(f"{index.root}: {exc}") from exc
+        raise ValueError(f"{index.root}: {exc}") from exc
 
 
 def _resolve_anchors(args, index) -> np.ndarray:
     if getattr(args, "anchors", None):
-        try:
-            return detect_mod.load_anchors(args.anchors)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        return detect_mod.load_anchors(args.anchors)
     return _dataset_anchors(index)
 
 
@@ -215,14 +186,14 @@ def _add_train_flags(p, require_model=True):
 
 def cmd_gen_data(args) -> int:
     if args.seed < 0:
-        raise CliError(f"--seed must be non-negative, got {args.seed}")
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     index = data_mod.generate_toy_dataset(args.n, args.style, args.seed, args.out)
     print(f"wrote {len(index)} images to {index.root}")
     return 0
 
 
 def cmd_anchors(args) -> int:
-    index = _read_index(args.data)
+    index = data_mod.load_index(args.data)
     anchors = _dataset_anchors(index)
     out = args.out or str(Path(args.data) / "anchors.txt")
     detect_mod.save_anchors(out, anchors)
@@ -234,7 +205,7 @@ def cmd_anchors(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, lw = _train_config(args)
-    spec = _build_spec(args.model, args.k)
+    spec = model_mod.build_spec(args.model, args.k)
     _check_out(args.out)
     index = _load_index(args.data, spec)
     val_index = _load_index(args.val, spec)
@@ -251,13 +222,10 @@ def cmd_train(args) -> int:
 def cmd_transfer(args) -> int:
     cfg, lw = _train_config(args)
     if cfg.transfer_layers is None:
-        raise CliError("--transfer-layers is required (0 = all layers at reduced rate)")
+        raise ValueError("--transfer-layers is required (0 = all layers at reduced rate)")
     _check_out(args.out)
     net = model_mod.load_weights(args.weights)
-    try:
-        train_mod.check_transfer_layers(net, cfg.transfer_layers)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    train_mod.check_transfer_layers(net, cfg.transfer_layers)
     index = _load_index(args.data, net.spec)
     val_index = _load_index(args.val, net.spec)
     train_mod.transfer_finetune(net, index, cfg, lw, val_index=val_index,
@@ -269,9 +237,9 @@ def cmd_transfer(args) -> int:
 
 def cmd_prune(args) -> int:
     if not 0.0 < args.theta < 1.0:
-        raise CliError(f"--theta must lie in (0, 1), got {args.theta}")
+        raise ValueError(f"--theta must lie in (0, 1), got {args.theta}")
     if args.finetune and not args.data:
-        raise CliError("--finetune requires --data")
+        raise ValueError("--finetune requires --data")
     cfg, lw = _train_config(args)
     _check_out(args.out)
     net = model_mod.load_weights(args.weights)
@@ -300,13 +268,13 @@ def _positive_int(text: str) -> int:
 
 def _check_conf(conf: float) -> None:
     if not 0.0 <= conf <= 1.0:
-        raise CliError(f"--conf must lie in [0, 1], got {conf}")
+        raise ValueError(f"--conf must lie in [0, 1], got {conf}")
 
 
 def cmd_detect(args) -> int:
     _check_conf(args.conf)
     if args.nms is not None and not 0.0 < args.nms <= 1.0:
-        raise CliError(f"--nms must lie in (0, 1], got {args.nms}")
+        raise ValueError(f"--nms must lie in (0, 1], got {args.nms}")
     net = model_mod.load_weights(args.weights)
     for image_path in args.images:
         _check_image_size(net.spec, image_path, data_mod.ppm_size(image_path))
@@ -333,7 +301,7 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_conf(args.conf)
-    index = _read_index(args.data)
+    index = data_mod.load_index(args.data)
     nets = [model_mod.load_weights(path) for path in args.weights]
     for net in nets:
         _check_image_size(net.spec, args.data, index.image_size)
@@ -358,13 +326,13 @@ def cmd_ops(args) -> int:
         net = model_mod.load_weights(args.weights)
         spec = net.spec
         if args.model not in (None, spec.name) or args.k not in (None, spec.k):
-            raise CliError(f"{args.weights} holds {spec.name} at k={spec.k}; "
-                           "--model and --k must match it or be left out")
+            raise ValueError(f"{args.weights} holds {spec.name} at k={spec.k}; "
+                             "--model and --k must match it or be left out")
         report = perf_mod.count_macs(spec, net.mask_dict())
     elif args.model == "tiny_yolo_ref":
         report = perf_mod.count_tiny_yolo_ref()
     else:
-        report = perf_mod.count_macs(_build_spec(args.model or "robo", args.k))
+        report = perf_mod.count_macs(model_mod.build_spec(args.model or "robo", args.k))
     print(perf_mod.format_op_report(report))
     if args.csv:
         Path(args.csv).write_text(perf_mod.format_op_report(report, csv=True))
@@ -451,10 +419,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

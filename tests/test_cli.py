@@ -469,6 +469,73 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == f"error: no index.txt in {tmp_path}\n"
 
+    @pytest.mark.parametrize("command, case", [
+        (command, case)
+        for command in ("detect", "eval", "ops", "prune", "transfer")
+        for case in ("truncated", "bad_magic")
+    ])
+    def test_malformed_weight_file_is_validation_error(self, toy_dir, weights_file, tmp_path,
+                                                       capsys, command, case):
+        bad = tmp_path / "bad.rbw"
+        blob = weights_file.read_bytes()
+        bad.write_bytes(blob[: len(blob) // 2] if case == "truncated" else b"XXXX" + blob[4:])
+        out = tmp_path / "out"
+        argv = {
+            "detect": ["detect", "--weights", str(bad), "--images",
+                       str(toy_dir / "img_00000.ppm"), "--out-dir", str(out)],
+            "eval": ["eval", "--data", str(toy_dir), "--weights", str(weights_file), str(bad),
+                     "--out", str(out)],
+            "ops": ["ops", "--weights", str(bad), "--csv", str(out)],
+            "prune": ["prune", "--weights", str(bad), "--out", str(out)],
+            "transfer": ["transfer", "--weights", str(bad), "--data", str(toy_dir),
+                         "--transfer-layers", "4", "--out", str(out)],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        want = {"truncated": f"error: {bad}: file truncated while reading ",
+                "bad_magic": f"error: {bad}: bad magic, not a robodet weight file\n"}[case]
+        assert code == 1
+        assert captured.err.startswith(want)
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["bad_magic", "short_pixels"])
+    def test_malformed_detect_image_is_validation_error(self, toy_dir, weights_file,
+                                                        tmp_path, capsys, case):
+        # The bad image comes second: every header is checked before the
+        # first image runs or --out-dir is created.
+        bad = tmp_path / "bad.ppm"
+        blob = (toy_dir / "img_00001.ppm").read_bytes()
+        bad.write_bytes(b"P5" + blob[2:] if case == "bad_magic" else blob[:-10])
+        out = tmp_path / "out"
+        code = main(["detect", "--weights", str(weights_file), "--images",
+                     str(toy_dir / "img_00000.ppm"), str(bad), "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        want = {"bad_magic": "not a binary PPM (P6) file",
+                "short_pixels": "truncated pixel data: 147446 of 147456 bytes"}[case]
+        assert code == 1
+        assert captured.err == f"error: {bad}: {want}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc_type, want_code", [
+        (ValueError, 1), (OSError, 2), (RuntimeError, 2),
+    ])
+    def test_main_maps_exception_type_to_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                   exc_type, want_code):
+        # main alone picks the code: ops calls load_weights with no wrapper.
+        def fail(path):
+            raise exc_type(f"{path}: injected")
+
+        monkeypatch.setattr(cli.model_mod, "load_weights", fail)
+        path = tmp_path / "net.rbw"
+        code = main(["ops", "--weights", str(path)])
+        captured = capsys.readouterr()
+        assert code == want_code
+        assert captured.err == f"error: {path}: injected\n"
+        assert captured.out == ""
+
 
 def test_cli_docs_name_the_registered_commands():
     parser = build_parser()
