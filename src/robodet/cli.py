@@ -246,8 +246,7 @@ def cmd_prune(args) -> int:
     if args.finetune:
         index = _load_index(args.data, net.spec)
         val_index = _load_index(args.val, net.spec)
-    _, report = train_mod.prune(net, args.theta)
-    print(report)
+    print(train_mod.prune(net, args.theta))
     if args.finetune:
         train_mod.finetune_pruned(net, index, cfg, lw, val_index=val_index)
     model_mod.save_weights(net, args.out)

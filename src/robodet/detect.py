@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ANCHOR_MAX, ANCHOR_MIN, CLASS_NAMES, HeadSpec
+from .model import ANCHOR_MAX, ANCHOR_MIN, CLASS_NAMES, HEADS, HeadSpec
 from .tensor import ShapeError
 
 DEFAULT_CONF_THRESHOLD = 0.5
@@ -211,9 +211,8 @@ def postprocess(
 
 def decode_network_output(raw_lo, raw_hi, spec, anchors) -> tuple[Detections, Detections]:
     """Decode both heads of a single-image forward pass (batch size 1)."""
-    lo = decode(raw_lo, spec.head("head_lo"), anchors, spec.head_grid(spec.head("head_lo")))
-    hi = decode(raw_hi, spec.head("head_hi"), anchors, spec.head_grid(spec.head("head_hi")))
-    return lo, hi
+    return tuple(decode(raw, head, anchors, spec.head_grid(head))
+                 for raw, head in zip((raw_lo, raw_hi), HEADS))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +251,8 @@ def load_anchors(path) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: non-numeric anchor size") from None
             if not all(ANCHOR_MIN <= v <= ANCHOR_MAX for v in size):  # False for NaN
                 raise ValueError(f"{path}:{lineno}: anchor size must be finite and positive")
+            if parts[0] in table:
+                raise ValueError(f"{path}:{lineno}: duplicate anchors for '{parts[0]}'")
             table[parts[0]] = size
     missing = [n for n in CLASS_NAMES if n not in table]
     if missing:

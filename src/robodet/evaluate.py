@@ -29,22 +29,27 @@ DEFAULT_DISTANCE_SWEEP = (4.0, 8.0, 16.0, 32.0, 64.0)
 @dataclass(frozen=True)
 class MatchCriterion:
     kind: str  # "iou" | "center_distance"
-    threshold: float
-    image_size: tuple[int, int] | None = None  # (w, h), required for distance
+    threshold: float  # IoU, or center distance in pixels
 
     def __post_init__(self):
         if self.kind not in ("iou", "center_distance"):
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         if self.threshold <= 0:
             raise ValueError("criterion threshold must be positive")
-        if self.kind == "center_distance" and self.image_size is None:
-            raise ValueError("center_distance criterion needs image_size")
 
     @property
     def label(self) -> str:
         if self.kind == "iou":
             return f"iou@{self.threshold:g}"
         return f"dist@{self.threshold:g}px"
+
+
+DEFAULT_CRITERIA = tuple(
+    [MatchCriterion("iou", t) for t in DEFAULT_IOU_SWEEP]
+    + [MatchCriterion("center_distance", t) for t in DEFAULT_DISTANCE_SWEEP]
+)
+# The criterion of the validation mAP that training logs.
+VALIDATION_CRITERION = MatchCriterion("center_distance", 16.0)
 
 
 @dataclass
@@ -59,27 +64,27 @@ class EvalReport:
         return float(np.mean(defined)) if defined else 0.0
 
 
-def _score_matrix(dets: Detections, gt: np.ndarray, crit: MatchCriterion) -> np.ndarray:
+def _score_matrix(dets: Detections, gt: np.ndarray, kind: str, image_size) -> np.ndarray:
     """The (detection, ground truth) scores of one criterion kind: the IoU,
     or the negated center distance in pixels, so that higher is better."""
-    if crit.kind == "iou":
+    if kind == "iou":
         return iou_matrix((dets.cx, dets.cy, dets.w, dets.h), gt[1:])
-    w, h = crit.image_size
+    w, h = image_size
     return -np.hypot((dets.cx[:, None] - gt[1]) * w, (dets.cy[:, None] - gt[2]) * h)
 
 
-def match(dets: Detections, gts, criteria) -> np.ndarray:
-    """Per-detection TP flags for one image, one row per criterion, columns
-    aligned with the input order.
+def match(dets: Detections, gts, criteria, image_size) -> np.ndarray:
+    """Per-detection TP flags for one image of ``image_size`` (width,
+    height) pixels, one row per criterion, columns aligned with the input
+    order.
 
     ``gts`` is a sequence of (class_id, BBox).  One score matrix per kind
-    (and image size, for distances) holds every (detection, ground truth)
-    pair and serves every threshold of that kind: the IoU, bitwise equal to
-    `iou` for finite boxes, or the negated center distance in pixels.  The
-    distance comes from ``np.hypot``, which can differ from ``math.hypot``
-    in the last ulp, so a flag can differ from a ``math.hypot`` matcher only
-    where a distance lies within one ulp of the threshold or of another
-    ground truth's distance.
+    holds every (detection, ground truth) pair and serves every threshold
+    of that kind: the IoU, bitwise equal to `iou` for finite boxes, or the
+    negated center distance in pixels.  The distance comes from
+    ``np.hypot``, which can differ from ``math.hypot`` in the last ulp, so a
+    flag can differ from a ``math.hypot`` matcher only where a distance lies
+    within one ulp of the threshold or of another ground truth's distance.
     """
     flags = np.zeros((len(criteria), len(dets)), dtype=bool)
     if len(dets) == 0 or len(gts) == 0:
@@ -92,14 +97,11 @@ def match(dets: Detections, gts, criteria) -> np.ndarray:
     same_class = (dets.class_id[:, None] == gt[0])[order]
     scores = {}
     for row, crit in zip(flags, criteria):
+        if crit.kind not in scores:
+            scores[crit.kind] = _score_matrix(dets, gt, crit.kind, image_size)[order]
+        score = scores[crit.kind]
         # A pair qualifies at a score of at least `bound`.
-        if crit.kind == "iou":
-            key, bound = "iou", crit.threshold
-        else:
-            key, bound = crit.image_size, -crit.threshold
-        if key not in scores:
-            scores[key] = _score_matrix(dets, gt, crit)[order]
-        score = scores[key]
+        bound = crit.threshold if crit.kind == "iou" else -crit.threshold
         ok = (score >= bound) & same_class
         score = np.where(ok, score, -np.inf)
         unclaimed = np.count_nonzero(ok.any(axis=0))
@@ -134,18 +136,19 @@ def average_precision(tp_flags, n_gt: int) -> float | None:
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
-def evaluate_detections(per_image_dets, per_image_gts, criteria) -> list[EvalReport]:
+def evaluate_detections(per_image_dets, per_image_gts, criteria, image_size) -> list[EvalReport]:
     """Score fixed detections against ground truth under each criterion.
 
     per_image_dets: list over images of `Detections`; per_image_gts:
-    matching list of (class_id, BBox) lists.
+    matching list of (class_id, BBox) lists; image_size: the (width,
+    height) in pixels that every image shares.
     """
     if len(per_image_dets) != len(per_image_gts):
         raise ValueError("detections and ground truth must cover the same images")
     dets = Detections.concat(per_image_dets)
     flags = np.concatenate(
         [np.zeros((len(criteria), 0), dtype=bool)]
-        + [match(d, g, criteria) for d, g in zip(per_image_dets, per_image_gts)],
+        + [match(d, g, criteria, image_size) for d, g in zip(per_image_dets, per_image_gts)],
         axis=1,
     )
     # Each class's entries in descending confidence.  The sort is stable
@@ -174,14 +177,6 @@ def evaluate_detections(per_image_dets, per_image_gts, criteria) -> list[EvalRep
     return reports
 
 
-def default_criteria(image_size) -> list[MatchCriterion]:
-    crits = [MatchCriterion("iou", t) for t in DEFAULT_IOU_SWEEP]
-    crits += [
-        MatchCriterion("center_distance", t, image_size) for t in DEFAULT_DISTANCE_SWEEP
-    ]
-    return crits
-
-
 # Images per forward pass in `evaluate`.  Convs run one matrix product per
 # image of a chunk, so each image's heads equal its batch-1 heads bit for
 # bit; a chunk only shares each layer call's fixed cost.  On perfbench's
@@ -193,14 +188,12 @@ def default_criteria(image_size) -> list[MatchCriterion]:
 _EVAL_CHUNK = 4
 
 
-def evaluate(net, index, criteria=None, conf_threshold: float = 0.01):
+def evaluate(net, index, criteria=DEFAULT_CRITERIA, conf_threshold: float = 0.01):
     """Run inference over a dataset index and score the criterion sweep.
 
     The forward pass takes `_EVAL_CHUNK` images at a time, through one
     preallocated input buffer; decoding and postprocessing stay per image.
     """
-    if criteria is None:
-        criteria = default_criteria(index.image_size)
     width, height = index.image_size
     chunk = np.empty((min(_EVAL_CHUNK, len(index)), 3, height, width), dtype=np.float32)
     per_image_dets = []
@@ -217,13 +210,12 @@ def evaluate(net, index, criteria=None, conf_threshold: float = 0.01):
                 raw_lo[k : k + 1], raw_hi[k : k + 1], net.spec, net.anchors
             )
             per_image_dets.append(detect_mod.postprocess(lo, hi, conf_threshold=conf_threshold))
-    return evaluate_detections(per_image_dets, per_image_gts, criteria)
+    return evaluate_detections(per_image_dets, per_image_gts, criteria, index.image_size)
 
 
-def map_at_distance(net, index, distance_px: float = 16.0) -> float:
-    """Convenience: mAP under a single center-distance criterion."""
-    crit = MatchCriterion("center_distance", distance_px, index.image_size)
-    return evaluate(net, index, criteria=[crit])[0].map
+def map_at_distance(net, index) -> float:
+    """mAP under the validation criterion alone."""
+    return evaluate(net, index, criteria=[VALIDATION_CRITERION])[0].map
 
 
 def write_report_csv(path, rows) -> None:

@@ -64,6 +64,9 @@ class LayerSpec:
     stride: int
     in_ch: int
     out_ch: int
+    # The leaky ReLU goes by role: every backbone layer has it, and no head
+    # does. This copy of the role stays only while perfbench/reference.py
+    # reads it (ROADMAP item 3).
     activation: str = "leaky"  # leaky | linear
     tap: str | None = None  # head_lo | head_hi
 
@@ -83,7 +86,6 @@ class ModelSpec:
     name: str
     k: int
     layers: tuple[LayerSpec, ...]
-    heads: tuple[HeadSpec, HeadSpec]
 
     @property
     def input_hw(self) -> tuple[int, int]:
@@ -101,12 +103,6 @@ class ModelSpec:
     def head_grid(self, head: HeadSpec) -> tuple[int, int]:
         s = math.prod(layer.stride for layer in self.layers[: self.head_source(head)])
         return self.input_hw[0] // s, self.input_hw[1] // s
-
-    def head(self, name: str) -> HeadSpec:
-        for h in self.heads:
-            if h.name == name:
-                return h
-        raise KeyError(name)
 
 
 # Canonical ROBO backbone: (kernel, stride, in_ch, out_ch) per layer.
@@ -130,9 +126,10 @@ _ROBO_BACKBONE = (
 _ROBO_TAP_HI = 9
 _ROBO_TAP_LO = 15
 
-# Classes owned by each head: the low-resolution head predicts the large
-# object classes, the higher-resolution one the small classes.
-_HEADS = (
+# The heads of every model, in (lo, hi) order, with the classes each owns:
+# the low-resolution head predicts the large object classes, the
+# higher-resolution one the small classes.
+HEADS = (
     HeadSpec(HEAD_LO, (2, 3)),  # goalpost, robot
     HeadSpec(HEAD_HI, (0, 1)),  # ball, crossing
 )
@@ -175,7 +172,7 @@ def build_robo(k: int = 2) -> ModelSpec:
     if k < 1:
         raise ValueError("k must be a positive integer")
     layers = _make_layers(_ROBO_BACKBONE, _ROBO_TAP_HI, _ROBO_TAP_LO)
-    return _validate(ModelSpec("robo", k, layers, _HEADS))
+    return _validate(ModelSpec("robo", k, layers))
 
 
 def build_robo_hr(k: int = 1) -> ModelSpec:
@@ -185,7 +182,7 @@ def build_robo_hr(k: int = 1) -> ModelSpec:
         raise ValueError(f"robo_hr has a fixed 192x256 input; k must be 1, got {k}")
     rows = [(3, 2, 3, 8)] + [list(r) for r in _ROBO_BACKBONE[2:]]
     layers = _make_layers(rows, _ROBO_TAP_HI - 1, _ROBO_TAP_LO - 1)
-    return _validate(ModelSpec("robo_hr", 1, layers, _HEADS))
+    return _validate(ModelSpec("robo_hr", 1, layers))
 
 
 def build_robo_bn(k: int = 2) -> ModelSpec:
@@ -207,7 +204,7 @@ def build_robo_bn(k: int = 2) -> ModelSpec:
         elif idx == _ROBO_TAP_LO:
             tap_lo = len(rows)
     layers = _make_layers(rows, tap_hi, tap_lo)
-    return _validate(ModelSpec("robo_bn", k, layers, _HEADS))
+    return _validate(ModelSpec("robo_bn", k, layers))
 
 
 _BUILDERS = {"robo": build_robo, "robo_bn": build_robo_bn, "robo_hr": build_robo_hr}
@@ -280,7 +277,7 @@ def init_network(spec: ModelSpec, seed: int = 0) -> Network:
     layers = [make_layer(ls) for ls in spec.layers]
     for layer in layers:
         layer.bn = BatchNormParams.identity(layer.spec.out_ch)
-    heads = {h.name: make_layer(head_layer_spec(spec, h)) for h in spec.heads}
+    heads = {h.name: make_layer(head_layer_spec(spec, h)) for h in HEADS}
     anchors = np.full((len(CLASS_NAMES), 2), 0.1, dtype=np.float32)
     return Network(spec, layers, heads, anchors)
 
@@ -301,8 +298,7 @@ def forward(net: Network, x: np.ndarray):
         z = conv2d_forward(x, layer.conv)
         x = batch_norm(z, layer.bn, "infer")
         del z  # free the conv output before the activation allocates
-        if layer.spec.activation == "leaky":
-            x = leaky_relu(x)
+        x = leaky_relu(x)
         if layer.spec.tap:
             taps[layer.spec.tap] = x
     return tuple(conv2d_forward(taps[name], net.heads[name].conv) for name in (HEAD_LO, HEAD_HI))
@@ -321,11 +317,10 @@ def forward_with_cache(net: Network, x: np.ndarray):
     for layer in net.layers:
         z = conv2d_forward(x, layer.conv)
         zn, stats = batch_norm(z, layer.bn, "train")
-        leaky = layer.spec.activation == "leaky"
         # Backward needs zn only through its sign; the 1-byte mask takes the
         # place of the 4-byte BN output.
-        cache.append({"x": x, "z": z, "mask": zn >= 0 if leaky else None, "stats": stats})
-        x = leaky_relu(zn) if leaky else zn
+        cache.append({"x": x, "z": z, "mask": zn >= 0, "stats": stats})
+        x = leaky_relu(zn)
         if layer.spec.tap:
             taps[layer.spec.tap] = x
     heads = tuple(conv2d_forward(taps[name], net.heads[name].conv) for name in (HEAD_LO, HEAD_HI))
@@ -358,8 +353,7 @@ def backward(net: Network, cache, grad_lo: np.ndarray, grad_hi: np.ndarray):
             g = tap_grads.pop(tap)
         elif tap:
             g += tap_grads.pop(tap)  # both fresh arrays; += rounds as + does
-        if layer.spec.activation == "leaky":
-            g = leaky_relu_backward(entry.pop("mask"), g)
+        g = leaky_relu_backward(entry.pop("mask"), g)
         g, grads[f"l{i}.gamma"], grads[f"l{i}.beta"] = batch_norm_backward(
             entry.pop("z"), layer.bn, g, entry.pop("stats"))
         g, grads[f"l{i}.w"], _ = conv2d_backward(entry.pop("x"), layer.conv, g,
@@ -493,8 +487,7 @@ def load_weights(path) -> Network:
 
     # Batch norm goes by role: every backbone layer has it and no head does.
     layers = [read_layer(f"l{i}", ls, True) for i, ls in enumerate(spec.layers, start=1)]
-    heads = {name: read_layer(name, head_layer_spec(spec, spec.head(name)), False)
-             for name in (HEAD_LO, HEAD_HI)}
+    heads = {h.name: read_layer(h.name, head_layer_spec(spec, h), False) for h in HEADS}
     r.context = "anchors"
     anchors = r.floats(2 * len(CLASS_NAMES)).reshape(len(CLASS_NAMES), 2)
     if not ((anchors >= ANCHOR_MIN) & (anchors <= ANCHOR_MAX)).all():  # False for NaN

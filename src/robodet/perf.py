@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, build_robo, build_robo_bn, build_robo_hr, head_layer_spec
+from .model import HEADS, ModelSpec, build_robo, build_robo_bn, build_robo_hr, head_layer_spec
 
 REPORT_FOOTER = "MAC = one multiply-accumulate; batch norm and activation costs excluded."
 
@@ -67,7 +67,7 @@ def count_macs(spec: ModelSpec, masks=None) -> OpReport:
         macs = layer.kernel**2 * layer.in_ch * layer.out_ch * h * w
         params = layer.kernel**2 * layer.in_ch * layer.out_ch  # no bias: BN follows
         layers.append(LayerOps(name, macs, params, _mask_fraction(masks, name)))
-    for head in spec.heads:
+    for head in HEADS:
         ls = head_layer_spec(spec, head)
         gh, gw = spec.head_grid(head)
         macs = ls.in_ch * ls.out_ch * gh * gw

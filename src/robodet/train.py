@@ -18,6 +18,7 @@ from .model import (
     CLASS_NAMES,
     HEAD_HI,
     HEAD_LO,
+    HEADS,
     Network,
     backward,
     forward_with_cache,
@@ -159,6 +160,11 @@ def adam_step(params, grads, state: AdamState, lr: float, masks=None, lr_scale=N
 # Detection loss.
 
 
+# class id -> (head, slot): the head that owns the class, and the class's
+# position among that head's classes.
+_OWNER = {c: (head, slot) for head in HEADS for slot, c in enumerate(head.classes_owned)}
+
+
 def _assign_targets(targets_per_image, spec, anchors):
     """Responsible cells of a batch, keyed by (image, slot, i, j) per head.
 
@@ -166,14 +172,10 @@ def _assign_targets(targets_per_image, spec, anchors):
     is kept.  Returns {head name: (b, slot, i, j, t)}: four index arrays and
     the (4, m) float64 table of (tx, ty, tw, th) regression targets.
     """
-    owner = {}
-    for head in spec.heads:
-        for slot, class_id in enumerate(head.classes_owned):
-            owner[class_id] = (head, slot)
-    assigned = {head.name: {} for head in spec.heads}
+    assigned = {head.name: {} for head in HEADS}
     for b, targets in enumerate(targets_per_image):
         for class_id, box in targets:
-            head, slot = owner[class_id]
+            head, slot = _OWNER[class_id]
             (i, j), t = encode((class_id, box), anchors, spec.head_grid(head))
             cells = assigned[head.name]
             key = (b, slot, i, j)
@@ -429,8 +431,9 @@ class PruneReport:
         return "\n".join(lines)
 
 
-def prune(net: Network, theta: float):
-    """Mask every weight below theta times its layer's largest magnitude."""
+def prune(net: Network, theta: float) -> PruneReport:
+    """Mask every weight below theta times its layer's largest magnitude, in
+    place."""
     if not 0.0 < theta < 1.0:
         raise ValueError("prune threshold must lie in (0, 1)")
     per_layer = {}
@@ -449,7 +452,7 @@ def prune(net: Network, theta: float):
         per_layer[name] = 1.0 - float(mask.mean())
         pruned += int((~mask).sum())
         total += mask.size
-    return net, PruneReport(per_layer, pruned / total)
+    return PruneReport(per_layer, pruned / total)
 
 
 def finetune_pruned(net: Network, index, cfg: TrainConfig, lw: LossWeights, val_index=None,

@@ -303,6 +303,17 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_repeated_anchor_class_is_validation_error(self, toy_dir, tmp_path, capsys):
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("ball 0.1 0.1\nball 0.2 0.2\n")
+        out = tmp_path / "x.rbw"
+        code = main(["train", "--data", str(toy_dir), "--out", str(out),
+                     "--anchors", str(anchors), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {anchors}:2: duplicate anchors for 'ball'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["gen-data", "--n", "0", "--out", "never"],
         ["gen-data", "--n", "-2", "--out", "never"],
@@ -562,13 +573,13 @@ sys.modules["scipy"] = None  # any `import scipy` now raises ImportError
 import numpy as np
 from robodet import cli
 from robodet.detect import BBox, decode_network_output
-from robodet.model import build_robo, init_network
+from robodet.model import HEADS, build_robo, init_network
 from robodet.train import LossWeights, batch_detection_loss
 
 net = init_network(build_robo(1), seed=0)
 rng = np.random.default_rng(0)
 raw_lo, raw_hi = (rng.normal(0, 2, (1, h.channels, *net.spec.head_grid(h))).astype(np.float32)
-                  for h in net.spec.heads)
+                  for h in HEADS)
 lo, hi = decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
 assert len(lo) and len(hi)
 loss, _, _ = batch_detection_loss(raw_lo, raw_hi, [[(0, BBox(0.5, 0.5, 0.1, 0.1))]], net,

@@ -25,11 +25,10 @@ from robodet.detect import (
     save_anchors,
     sigmoid,
 )
-from robodet.model import CLASS_NAMES, HeadSpec, build_robo, forward, init_network
+from robodet.model import CLASS_NAMES, HEADS, HeadSpec, build_robo, forward, init_network
 from robodet.tensor import ShapeError
 
-HEAD_LO = build_robo(2).head("head_lo")
-HEAD_HI = build_robo(2).head("head_hi")
+HEAD_LO, HEAD_HI = HEADS
 
 
 def make_anchors():
@@ -84,6 +83,7 @@ class TestAnchors:
         ("robot 0 0.1", "finite and positive"),
         ("ball 1e40 0.1", "finite and positive"),  # overflows float32
         ("ball 1e-50 0.1", "finite and positive"),  # underflows float32 to 0
+        ("ball 0.2 0.2", "duplicate anchors for 'ball'"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, line, reason):
         path = tmp_path / "a.txt"
@@ -520,10 +520,8 @@ class TestArrayPathMatchesObjectPath:
         x = rng.normal(0, 1, (1, 3, *spec.input_hw)).astype(np.float32)
         raw_lo, raw_hi = forward(net, x)
         lo, hi = decode_network_output(raw_lo, raw_hi, spec, net.anchors)
-        want_lo = decode_reference(raw_lo, spec.head("head_lo"), net.anchors,
-                                   spec.head_grid(spec.head("head_lo")))
-        want_hi = decode_reference(raw_hi, spec.head("head_hi"), net.anchors,
-                                   spec.head_grid(spec.head("head_hi")))
+        want_lo = decode_reference(raw_lo, HEAD_LO, net.anchors, spec.head_grid(HEAD_LO))
+        want_hi = decode_reference(raw_hi, HEAD_HI, net.anchors, spec.head_grid(HEAD_HI))
         assert_same_detections(lo, want_lo)
         assert_same_detections(hi, want_hi)
         conf = float(np.median([d.confidence for d in want_lo + want_hi]))

@@ -26,12 +26,12 @@ from robodet.detect import (
     postprocess,
 )
 from robodet.evaluate import (
+    DEFAULT_CRITERIA,
     DEFAULT_DISTANCE_SWEEP,
     DEFAULT_IOU_SWEEP,
     EvalReport,
     MatchCriterion,
     average_precision,
-    default_criteria,
     evaluate,
     evaluate_detections,
     match,
@@ -47,7 +47,7 @@ def det(cx, cy, w, h, cid, conf):
     return Detection(BBox(cx, cy, w, h), cid, conf)
 
 
-def match_oracle(dets, gts, crit):
+def match_oracle(dets, gts, crit, image_size):
     """Independent greedy matcher used to cross-check match()."""
     flags = [False] * len(dets)
     used = set()
@@ -62,7 +62,7 @@ def match_oracle(dets, gts, crit):
                 if s < crit.threshold:
                     continue
             else:
-                w, h = crit.image_size
+                w, h = image_size
                 s = -math.hypot((d.box.cx - gb.cx) * w, (d.box.cy - gb.cy) * h)
                 if -s > crit.threshold:
                     continue
@@ -78,23 +78,23 @@ class TestMatch:
     def test_exact_match_is_tp(self):
         gts = [(0, BBox(0.5, 0.5, 0.2, 0.2))]
         dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9)])
-        flags = match(dets, gts, [MatchCriterion("iou", 0.5)])[0]
+        flags = match(dets, gts, [MatchCriterion("iou", 0.5)], IMG)[0]
         assert flags.tolist() == [True]
 
     def test_single_match_rule(self):
         gts = [(0, BBox(0.5, 0.5, 0.2, 0.2))]
         dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9), det(0.5, 0.5, 0.2, 0.2, 0, 0.8)])
-        flags = match(dets, gts, [MatchCriterion("iou", 0.5)])[0]
+        flags = match(dets, gts, [MatchCriterion("iou", 0.5)], IMG)[0]
         assert flags.tolist() == [True, False]
 
     def test_class_must_agree(self):
         gts = [(1, BBox(0.5, 0.5, 0.2, 0.2))]
         dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9)])
-        assert match(dets, gts, [MatchCriterion("iou", 0.5)])[0].tolist() == [False]
+        assert match(dets, gts, [MatchCriterion("iou", 0.5)], IMG)[0].tolist() == [False]
 
     @pytest.mark.parametrize("kind,thr", [("iou", 0.3), ("center_distance", 40.0)])
     def test_random_matches_oracle(self, rng, kind, thr):
-        crit = MatchCriterion(kind, thr, IMG if kind == "center_distance" else None)
+        crit = MatchCriterion(kind, thr)
         for _ in range(30):
             dets = [
                 det(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.05, 0.3, 2),
@@ -106,15 +106,15 @@ class TestMatch:
                  BBox(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.05, 0.3, 2)))
                 for _ in range(5)
             ]
-            got = match(to_detections(dets), gts, [crit])[0]
-            assert got.tolist() == match_oracle(dets, gts, crit)
+            got = match(to_detections(dets), gts, [crit], IMG)[0]
+            assert got.tolist() == match_oracle(dets, gts, crit, IMG)
 
     def test_distance_ignores_box_size(self, rng):
-        crit = MatchCriterion("center_distance", 16.0, IMG)
+        crit = MatchCriterion("center_distance", 16.0)
         gts = [(0, BBox(0.5, 0.5, 0.1, 0.1))]
         base = to_detections([det(0.51, 0.5, 0.1, 0.1, 0, 0.9)])
         resized = to_detections([det(0.51, 0.5, 0.7, 0.33, 0, 0.9)])
-        assert match(base, gts, [crit]).tolist() == match(resized, gts, [crit]).tolist()
+        assert match(base, gts, [crit], IMG).tolist() == match(resized, gts, [crit], IMG).tolist()
 
 
 def average_precision_reference(confidences, tp_flags, n_gt):
@@ -195,13 +195,13 @@ class TestEvaluateDetections:
             ]
             per_gts.append(gts)
             per_dets.append(to_detections([Detection(b, c, 1.0) for c, b in gts]))
-        reports = evaluate_detections(per_dets, per_gts, default_criteria(IMG))
+        reports = evaluate_detections(per_dets, per_gts, DEFAULT_CRITERIA, IMG)
         assert len(reports) == 10
         for r in reports:
             assert r.map == pytest.approx(1.0)
 
     def test_sweep_shape(self):
-        crits = default_criteria(IMG)
+        crits = DEFAULT_CRITERIA
         assert len(crits) == 10
         assert [c.threshold for c in crits[:5]] == list(DEFAULT_IOU_SWEEP)
         assert [c.threshold for c in crits[5:]] == list(DEFAULT_DISTANCE_SWEEP)
@@ -227,7 +227,7 @@ class TestEvaluateDetections:
             ])
             per_gts.append(gts)
             per_dets.append(dets)
-        reports = evaluate_detections(per_dets, per_gts, default_criteria(IMG))
+        reports = evaluate_detections(per_dets, per_gts, DEFAULT_CRITERIA, IMG)
         iou_maps = [r.map for r in reports[:5]]      # thresholds 0.75 -> 0.05
         dist_maps = [r.map for r in reports[5:]]     # thresholds 4px -> 64px
         assert all(a <= b + 1e-12 for a, b in zip(iou_maps, iou_maps[1:]))
@@ -237,7 +237,7 @@ class TestEvaluateDetections:
         gts = [(0, BBox(0.5, 0.5, 0.2, 0.2))]
         dets = to_detections([det(0.5, 0.5, 0.2, 0.2, 0, c / 10) for c in range(1, 8)])
         with pytest.warns(UserWarning, match="no ground truth"):
-            reports = evaluate_detections([dets], [gts], [MatchCriterion("iou", 0.1)])
+            reports = evaluate_detections([dets], [gts], [MatchCriterion("iou", 0.1)], IMG)
         tp, fp, fn = reports[0].counts[0]
         assert tp == 1 and fp == 6 and fn == 0
 
@@ -245,20 +245,17 @@ class TestEvaluateDetections:
         gts = [[(0, BBox(0.5, 0.5, 0.2, 0.2))]]
         dets = [to_detections([det(0.5, 0.5, 0.2, 0.2, 0, 0.9)])]
         with pytest.warns(UserWarning, match="no ground truth"):
-            reports = evaluate_detections(dets, gts, [MatchCriterion("iou", 0.5)])
+            reports = evaluate_detections(dets, gts, [MatchCriterion("iou", 0.5)], IMG)
         assert reports[0].ap[1] is None
         assert reports[0].map == pytest.approx(1.0)
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            evaluate_detections([to_detections([])], [[], []], [MatchCriterion("iou", 0.5)])
+            evaluate_detections([to_detections([])], [[], []], [MatchCriterion("iou", 0.5)],
+                                IMG)
 
 
 class TestCriterionValidation:
-    def test_distance_needs_image_size(self):
-        with pytest.raises(ValueError, match="image_size"):
-            MatchCriterion("center_distance", 8.0)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             MatchCriterion("giou", 0.5)
@@ -269,11 +266,11 @@ class TestCriterionValidation:
 
 
 def test_report_csv_layout(tmp_path):
-    crits = [MatchCriterion("iou", 0.5), MatchCriterion("center_distance", 16.0, IMG)]
+    crits = [MatchCriterion("iou", 0.5), MatchCriterion("center_distance", 16.0)]
     gts = [[(0, BBox(0.5, 0.5, 0.2, 0.2)), (1, BBox(0.2, 0.2, 0.1, 0.1)),
             (2, BBox(0.8, 0.2, 0.1, 0.2)), (3, BBox(0.2, 0.8, 0.2, 0.2))]]
     dets = [to_detections([Detection(b, c, 1.0) for c, b in gts[0]])]
-    reports = evaluate_detections(dets, gts, crits)
+    reports = evaluate_detections(dets, gts, crits, IMG)
     path = tmp_path / "report.csv"
     write_report_csv(path, [("robo", reports), ("robo_hr", reports)])
     lines = path.read_text().strip().splitlines()
@@ -287,19 +284,20 @@ def test_report_csv_layout(tmp_path):
 # evaluate_detections (one criterion at a time, AP by the frozen
 # average_precision_reference) that the score-matrix path replaced.  ``hypot`` is
 # math.hypot in the original; the matrix path uses np.hypot, which may differ
-# in the last ulp.
+# in the last ulp.  The image size, once a field of each distance criterion,
+# is an argument.
 
 
-def _pair_score_reference(det, gt_box, crit, hypot):
+def _pair_score_reference(det, gt_box, crit, image_size, hypot):
     if crit.kind == "iou":
         s = iou(det.box, gt_box)
         return s >= crit.threshold, s
-    w, h = crit.image_size
+    w, h = image_size
     d = hypot((det.box.cx - gt_box.cx) * w, (det.box.cy - gt_box.cy) * h)
     return d <= crit.threshold, -d
 
 
-def match_reference(dets, gts, crit, hypot=math.hypot):
+def match_reference(dets, gts, crit, image_size, hypot=math.hypot):
     flags = np.zeros(len(dets), dtype=bool)
     taken = [False] * len(gts)
     order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
@@ -309,7 +307,7 @@ def match_reference(dets, gts, crit, hypot=math.hypot):
         for g, (gt_class, gt_box) in enumerate(gts):
             if taken[g] or gt_class != det.class_id:
                 continue
-            ok, score = _pair_score_reference(det, gt_box, crit, hypot)
+            ok, score = _pair_score_reference(det, gt_box, crit, image_size, hypot)
             if ok and (best is None or score > best[1]):
                 best = (g, score)
         if best is not None:
@@ -318,14 +316,15 @@ def match_reference(dets, gts, crit, hypot=math.hypot):
     return flags
 
 
-def evaluate_detections_reference(per_image_dets, per_image_gts, criteria, hypot=math.hypot):
+def evaluate_detections_reference(per_image_dets, per_image_gts, criteria, image_size,
+                                  hypot=math.hypot):
     reports = []
     for crit in criteria:
         confs = {c: [] for c in range(len(CLASS_NAMES))}
         tps = {c: [] for c in range(len(CLASS_NAMES))}
         n_gt = {c: 0 for c in range(len(CLASS_NAMES))}
         for dets, gts in zip(per_image_dets, per_image_gts):
-            flags = match_reference(dets, gts, crit, hypot)
+            flags = match_reference(dets, gts, crit, image_size, hypot)
             for det, flag in zip(dets, flags):
                 confs[det.class_id].append(det.confidence)
                 tps[det.class_id].append(flag)
@@ -349,7 +348,6 @@ def np_hypot(x, y):
 # 64x48 pixels: a 1/16 grid step is 4 px across and 3 px down, so center
 # distances land exactly on the 4..64 px thresholds and on each other.
 SMALL_IMG = (64, 48)
-SMALL_CRITERIA = default_criteria(SMALL_IMG)
 
 # Coordinates on a 1/16 grid give identical, touching (IoU 0) and exactly
 # half-overlapping boxes; free floats cover the rest.
@@ -372,12 +370,12 @@ def ground_truths(draw):
 image = st.tuples(st.lists(detection, max_size=8), ground_truths())
 
 
-def hypot_differs(per_image_dets, per_image_gts, criteria):
+def hypot_differs(per_image_dets, per_image_gts, criteria, image_size):
     """Whether np.hypot and math.hypot disagree on any scored pair."""
     for crit in criteria:
         if crit.kind != "center_distance":
             continue
-        w, h = crit.image_size
+        w, h = image_size
         for dets, gts in zip(per_image_dets, per_image_gts):
             for d in dets:
                 for _, g in gts:
@@ -387,23 +385,21 @@ def hypot_differs(per_image_dets, per_image_gts, criteria):
     return False
 
 
-# Criterion lists other than the default sweep: the kinds interleaved, with
-# a second image size for distances; one criterion repeated; one criterion
-# alone, as `map_at_distance` passes it.
+# Criterion lists other than the default sweep: the kinds interleaved; one
+# criterion repeated; one criterion alone, as `map_at_distance` passes it.
 CRITERION_LISTS = {
     "interleaved": [
-        MatchCriterion("center_distance", 16.0, SMALL_IMG),
+        MatchCriterion("center_distance", 16.0),
         MatchCriterion("iou", 0.5),
-        MatchCriterion("center_distance", 4.0, SMALL_IMG),
+        MatchCriterion("center_distance", 4.0),
         MatchCriterion("iou", 0.05),
-        MatchCriterion("center_distance", 8.0, (32, 24)),
     ],
     "repeated": [
         MatchCriterion("iou", 0.25),
-        MatchCriterion("center_distance", 8.0, SMALL_IMG),
+        MatchCriterion("center_distance", 8.0),
         MatchCriterion("iou", 0.25),
     ],
-    "alone": [MatchCriterion("center_distance", 16.0, SMALL_IMG)],
+    "alone": [MatchCriterion("center_distance", 16.0)],
 }
 
 
@@ -415,27 +411,28 @@ def assert_reports_match_reference(images, criteria):
     per_gts = [gts for _, gts in images]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = evaluate_detections([to_detections(d) for d in per_dets], per_gts, criteria)
-        wants = [evaluate_detections_reference(per_dets, per_gts, criteria, np_hypot)]
-        if not hypot_differs(per_dets, per_gts, criteria):
-            wants.append(evaluate_detections_reference(per_dets, per_gts, criteria))
+        got = evaluate_detections([to_detections(d) for d in per_dets], per_gts, criteria,
+                                  SMALL_IMG)
+        wants = [evaluate_detections_reference(per_dets, per_gts, criteria, SMALL_IMG, np_hypot)]
+        if not hypot_differs(per_dets, per_gts, criteria, SMALL_IMG):
+            wants.append(evaluate_detections_reference(per_dets, per_gts, criteria, SMALL_IMG))
     for want in wants:
         assert [r.ap for r in got] == [r.ap for r in want]
         assert [r.counts for r in got] == [r.counts for r in want]
 
 
 class TestMatrixMatchesPairLoop:
-    @given(image, st.sampled_from(SMALL_CRITERIA))
+    @given(image, st.sampled_from(DEFAULT_CRITERIA))
     @settings(max_examples=300, deadline=None)
     def test_match_flags(self, img, crit):
         dets, gts = img
-        got = match(to_detections(dets), gts, [crit])[0]
+        got = match(to_detections(dets), gts, [crit], SMALL_IMG)[0]
         assert got.dtype == bool and got.shape == (len(dets),)
         # Exactly the pair loop run with the matrix's hypot ...
-        assert got.tolist() == match_reference(dets, gts, crit, np_hypot).tolist()
+        assert got.tolist() == match_reference(dets, gts, crit, SMALL_IMG, np_hypot).tolist()
         # ... and the original pair loop unless the two hypots disagree.
-        if not hypot_differs([dets], [gts], [crit]):
-            assert got.tolist() == match_reference(dets, gts, crit).tolist()
+        if not hypot_differs([dets], [gts], [crit], SMALL_IMG):
+            assert got.tolist() == match_reference(dets, gts, crit, SMALL_IMG).tolist()
 
     @given(image, st.sampled_from(sorted(CRITERION_LISTS)))
     @settings(max_examples=200, deadline=None)
@@ -443,32 +440,32 @@ class TestMatrixMatchesPairLoop:
         # Each row of a sweep is the flags of its criterion matched alone,
         # whatever the criteria around it share.
         dets, gts = img
-        criteria = SMALL_CRITERIA + CRITERION_LISTS[name]
-        got = match(to_detections(dets), gts, criteria)
+        criteria = [*DEFAULT_CRITERIA, *CRITERION_LISTS[name]]
+        got = match(to_detections(dets), gts, criteria, SMALL_IMG)
         assert got.dtype == bool and got.shape == (len(criteria), len(dets))
         for row, crit in zip(got, criteria):
-            assert row.tolist() == match(to_detections(dets), gts, [crit])[0].tolist()
+            assert row.tolist() == match(to_detections(dets), gts, [crit], SMALL_IMG)[0].tolist()
 
-    @pytest.mark.parametrize("crit", SMALL_CRITERIA, ids=lambda c: c.label)
+    @pytest.mark.parametrize("crit", DEFAULT_CRITERIA, ids=lambda c: c.label)
     def test_edge_cases(self, crit):
         a = BBox(0.25, 0.5, 0.5, 1.0)
         touching = BBox(0.75, 0.5, 0.5, 1.0)
         dets = [Detection(a, 0, 0.5), Detection(a, 0, 0.5), Detection(touching, 0, 0.9)]
         for gts in ([], [(0, a), (0, a)], [(0, touching)], [(1, a)]):
-            got = match(to_detections(dets), gts, [crit])[0]
-            assert got.tolist() == match_reference(dets, gts, crit).tolist()
-            assert match(to_detections([]), gts, [crit]).shape == (1, 0)
+            got = match(to_detections(dets), gts, [crit], SMALL_IMG)[0]
+            assert got.tolist() == match_reference(dets, gts, crit, SMALL_IMG).tolist()
+            assert match(to_detections([]), gts, [crit], SMALL_IMG).shape == (1, 0)
 
     def test_coincident_ground_truths_go_to_the_lower_index(self):
         # Equal scores: each detection takes the lowest free ground truth,
         # so both are claimed and both detections are true positives.
         b = BBox(0.5, 0.5, 0.2, 0.2)
         dets = to_detections([Detection(b, 0, 0.9), Detection(b, 0, 0.8)])
-        flags = match(dets, [(0, b), (0, b)], [MatchCriterion("iou", 0.5)])[0]
+        flags = match(dets, [(0, b), (0, b)], [MatchCriterion("iou", 0.5)], SMALL_IMG)[0]
         assert flags.tolist() == [True, True]
 
     @pytest.mark.parametrize("crit", [MatchCriterion("iou", 0.5),
-                                      MatchCriterion("center_distance", 16.0, SMALL_IMG)],
+                                      MatchCriterion("center_distance", 16.0)],
                              ids=lambda c: c.label)
     def test_score_tie_goes_to_the_lower_index(self, crit):
         # The first detection scores the same against both ground truths and
@@ -477,13 +474,22 @@ class TestMatrixMatchesPairLoop:
         gts = [(0, BBox(0.375, 0.5, 0.5, 0.5)), (0, BBox(0.625, 0.5, 0.5, 0.5))]
         dets = [Detection(BBox(0.5, 0.5, 0.5, 0.5), 0, 0.9),
                 Detection(BBox(0.25, 0.5, 0.5, 0.5), 0, 0.8)]
-        assert match(to_detections(dets), gts, [crit])[0].tolist() == [True, False]
-        assert match_reference(dets, gts, crit).tolist() == [True, False]
+        assert match(to_detections(dets), gts, [crit], SMALL_IMG)[0].tolist() == [True, False]
+        assert match_reference(dets, gts, crit, SMALL_IMG).tolist() == [True, False]
+
+    def test_distance_scales_x_by_width_and_y_by_height(self):
+        # On the 64x48 image an offset of 1/4 is 16 px across, 12 px down.
+        gts = [(0, BBox(0.5, 0.5, 0.1, 0.1))]
+        crits = [MatchCriterion("center_distance", 12.0), MatchCriterion("center_distance", 16.0)]
+        across = [Detection(BBox(0.75, 0.5, 0.1, 0.1), 0, 0.9)]
+        down = [Detection(BBox(0.5, 0.75, 0.1, 0.1), 0, 0.9)]
+        assert match(to_detections(across), gts, crits, SMALL_IMG).tolist() == [[False], [True]]
+        assert match(to_detections(down), gts, crits, SMALL_IMG).tolist() == [[True], [True]]
 
     @given(st.lists(image, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_evaluate_detections_aps_and_counts(self, images):
-        assert_reports_match_reference(images, SMALL_CRITERIA)
+        assert_reports_match_reference(images, DEFAULT_CRITERIA)
 
     @pytest.mark.parametrize("name", sorted(CRITERION_LISTS))
     @given(images=st.lists(image, max_size=4))
@@ -499,13 +505,14 @@ class TestMatrixMatchesPairLoop:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reports = evaluate_detections([to_detections(d) for d in per_dets], per_gts,
-                                          SMALL_CRITERIA)
-            want = evaluate_detections_reference(per_dets, per_gts, SMALL_CRITERIA, np_hypot)
+                                          DEFAULT_CRITERIA, SMALL_IMG)
+            want = evaluate_detections_reference(per_dets, per_gts, DEFAULT_CRITERIA, SMALL_IMG,
+                                                 np_hypot)
         path = tmp_path_factory.mktemp("per_class") / "classes.csv"
         write_per_class_csv(path, [("robo", reports)])
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
-        assert [row["criterion"] for row in rows] == [c.label for c in SMALL_CRITERIA]
+        assert [row["criterion"] for row in rows] == [c.label for c in DEFAULT_CRITERIA]
         for row, r in zip(rows, want):
             for c, name in enumerate(CLASS_NAMES):
                 got = tuple(int(row[f"{name}_{k}"]) for k in ("tp", "fp", "fn"))
@@ -535,7 +542,7 @@ def test_one_score_matrix_per_image_and_kind(rng, monkeypatch):
                                for c, b in boxes(n)]) for n in (6, 0, 5, 8, 3)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        evaluate_detections(per_dets, per_gts, default_criteria(IMG))
+        evaluate_detections(per_dets, per_gts, DEFAULT_CRITERIA, IMG)
     assert calls == {"iou": 3, "hypot": 3}
 
 
@@ -543,10 +550,8 @@ def test_one_score_matrix_per_image_and_kind(rng, monkeypatch):
 # The inference loop of `evaluate`.
 
 
-def evaluate_reference(net, index, criteria=None, conf_threshold=0.01):
+def evaluate_reference(net, index, criteria=DEFAULT_CRITERIA, conf_threshold=0.01):
     """Frozen copy of the earlier `evaluate`: one batch-1 forward per image."""
-    if criteria is None:
-        criteria = default_criteria(index.image_size)
     per_image_dets = []
     per_image_gts = []
     for i in range(len(index)):
@@ -556,7 +561,7 @@ def evaluate_reference(net, index, criteria=None, conf_threshold=0.01):
         lo, hi = decode_network_output(raw_lo, raw_hi, net.spec, net.anchors)
         per_image_dets.append(postprocess(lo, hi, conf_threshold=conf_threshold))
         per_image_gts.append(annotations)
-    return evaluate_detections(per_image_dets, per_image_gts, criteria)
+    return evaluate_detections(per_image_dets, per_image_gts, criteria, index.image_size)
 
 
 SPECS = {"robo": build_robo(1), "robo_bn": build_robo_bn(1), "robo_hr": build_robo_hr(1)}

@@ -11,6 +11,7 @@ from robodet import model
 from robodet.model import (
     HEAD_HI,
     HEAD_LO,
+    HEADS,
     WEIGHT_MAGIC,
     WEIGHT_VERSION,
     BadMagicError,
@@ -23,6 +24,7 @@ from robodet.model import (
     build_robo_hr,
     forward,
     forward_with_cache,
+    head_layer_spec,
     init_network,
     load_weights,
     save_weights,
@@ -32,25 +34,27 @@ from robodet.tensor import ShapeError, batch_norm, conv2d_forward, leaky_relu
 
 from conftest import flip_bytes
 
+LO, HI = HEADS
+
 
 class TestBuilders:
     def test_robo_k2_grids(self):
         spec = build_robo(2)
         assert spec.input_hw == (384, 512)
-        assert spec.head_grid(spec.head(HEAD_LO)) == (6, 8)
-        assert spec.head_grid(spec.head(HEAD_HI)) == (12, 16)
+        assert spec.head_grid(LO) == (6, 8)
+        assert spec.head_grid(HI) == (12, 16)
         assert spec.total_stride == 64
 
     def test_robo_k1_grid(self):
         spec = build_robo(1)
         assert spec.input_hw == (192, 256)
-        assert spec.head_grid(spec.head(HEAD_LO)) == (3, 4)
+        assert spec.head_grid(LO) == (3, 4)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_head_grids_scale_with_k(self, k):
         spec = build_robo(k)
-        assert spec.head_grid(spec.head(HEAD_LO)) == (3 * k, 4 * k)
-        assert spec.head_grid(spec.head(HEAD_HI)) == (6 * k, 8 * k)
+        assert spec.head_grid(LO) == (3 * k, 4 * k)
+        assert spec.head_grid(HI) == (6 * k, 8 * k)
 
     def test_robo_backbone_structure(self):
         spec = build_robo(2)
@@ -68,9 +72,9 @@ class TestBuilders:
 
     def test_heads_partition_classes(self):
         spec = build_robo(1)
-        owned = sorted(c for h in spec.heads for c in h.classes_owned)
+        owned = sorted(c for h in HEADS for c in h.classes_owned)
         assert owned == [0, 1, 2, 3]
-        assert sum(h.channels for h in spec.heads) == 20
+        assert sum(h.channels for h in HEADS) == 20
 
     def test_robo_hr_structure(self):
         spec = build_robo_hr()
@@ -78,8 +82,8 @@ class TestBuilders:
         assert spec.input_hw == (192, 256)
         assert len(spec.layers) == 14
         assert spec.layers[0].in_ch == 3
-        assert spec.head_grid(spec.head(HEAD_LO)) == (6, 8)
-        assert spec.head_grid(spec.head(HEAD_HI)) == (12, 16)
+        assert spec.head_grid(LO) == (6, 8)
+        assert spec.head_grid(HI) == (12, 16)
 
     def test_robo_bn_bottlenecks(self):
         spec = build_robo_bn(2)
@@ -115,11 +119,24 @@ class TestBuilders:
     def test_input_size_head_sources_and_grids(self, name, k, input_hw, lo, hi):
         spec = model.build_spec(name, k)
         assert spec.input_hw == input_hw
-        for head_name, (source, grid) in ((HEAD_LO, lo), (HEAD_HI, hi)):
-            head = spec.head(head_name)
+        for head, (source, grid) in zip(HEADS, (lo, hi)):
             assert spec.head_source(head) == source
-            assert spec.layers[source - 1].tap == head_name
+            assert spec.layers[source - 1].tap == head.name
             assert spec.head_grid(head) == grid
+
+
+# The backbone loops, and perfbench/reference.py, apply the leaky ReLU by
+# role: every backbone layer has it and no head does, and each head reads
+# the one layer that taps it.
+@pytest.mark.parametrize("name, k", [
+    ("robo", 1), ("robo", 2), ("robo_bn", 1), ("robo_bn", 2), ("robo_hr", 1),
+])
+def test_leaky_relu_goes_by_role(name, k):
+    spec = model.build_spec(name, k)
+    assert {layer.activation for layer in spec.layers} == {"leaky"}
+    assert [head_layer_spec(spec, h).activation for h in HEADS] == ["linear", "linear"]
+    assert sorted(layer.tap for layer in spec.layers if layer.tap) == [HEAD_HI, HEAD_LO]
+    assert [h.name for h in HEADS] == [HEAD_LO, HEAD_HI]
 
 
 def _layer_params(spec):

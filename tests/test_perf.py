@@ -1,6 +1,6 @@
 import pytest
 
-from robodet.model import build_robo, build_robo_bn, build_robo_hr, init_network
+from robodet.model import HEADS, build_robo, build_robo_bn, build_robo_hr, init_network
 from robodet.perf import (
     count_macs,
     count_tiny_yolo_ref,
@@ -86,7 +86,7 @@ class TestCountMacs:
         for spec in (build_robo_bn(2), build_robo_hr()):
             want = [l.kernel**2 * l.in_ch * l.out_ch for l in spec.layers]
             want += [(spec.layers[spec.head_source(h) - 1].out_ch + 1) * 5 * len(h.classes_owned)
-                     for h in spec.heads]
+                     for h in HEADS]
             assert [l.params for l in count_macs(spec).layers] == want, spec.name
 
 

@@ -15,7 +15,15 @@ from robodet.data import BT601, Annotation, generate_toy_dataset, load_all_sampl
 from robodet.detect import BBox, encode, sigmoid
 from robodet.evaluate import evaluate
 from robodet import train as train_mod
-from robodet.model import CLASS_NAMES, HEAD_HI, HEAD_LO, build_robo, init_network, save_weights
+from robodet.model import (
+    CLASS_NAMES,
+    HEAD_HI,
+    HEAD_LO,
+    HEADS,
+    build_robo,
+    init_network,
+    save_weights,
+)
 from robodet.train import (
     AdamState,
     LossWeights,
@@ -133,13 +141,13 @@ _reference_logger = logging.getLogger("robodet.train")
 
 def _reference_assign_targets(targets, spec, anchors):
     owner = {}
-    for head in spec.heads:
+    for head in HEADS:
         for slot, class_id in enumerate(head.classes_owned):
             owner[class_id] = (head.name, slot)
     assigned = {}
     for class_id, box in targets:
         head_name, slot = owner[class_id]
-        head = spec.head(head_name)
+        head = next(h for h in HEADS if h.name == head_name)
         (i, j), t = encode((class_id, box), anchors, spec.head_grid(head))
         key = (head_name, slot, i, j)
         if key in assigned:
@@ -165,7 +173,7 @@ def reference_detection_loss(raw_lo, raw_hi, targets, net, lw):
     raws = {HEAD_LO: raw_lo, HEAD_HI: raw_hi}
     grads = {}
     loss = lw.l1 * _reference_l1_term(net) if lw.l1 else 0.0
-    for head in spec.heads:
+    for head in HEADS:
         raw = raws[head.name]
         grad = np.zeros_like(raw)
         to = raw[0, 4::5]
@@ -275,7 +283,7 @@ class TestDetectionLoss:
     def test_perfect_prediction_near_zero(self, tiny_net):
         spec = tiny_net.spec
         target = (3, BBox(0.52, 0.5, 0.12, 0.2))
-        head = spec.head("head_lo")
+        head = HEADS[0]
         grid = spec.head_grid(head)
         (i, j), (tx, ty, tw, th) = encode(target, tiny_net.anchors, grid)
         raw_lo = np.full((1, 10, 3, 4), 0.0)
@@ -621,18 +629,18 @@ class TestPrune:
         layer = tiny_net.layers[0]
         layer.conv.weights.flat[:3] = [1.0, 0.005, -0.02]
         layer.conv.weights.flat[3:] = 0.5
-        _, report = prune(tiny_net, 0.01)
+        report = prune(tiny_net, 0.01)
         w = layer.conv.weights
         assert w.flat[0] == 1.0
         assert w.flat[1] == 0.0  # |0.005| < 0.01 * 1.0
         assert w.flat[2] == -0.02
 
     def test_theta_tiny_prunes_nothing(self, tiny_net):
-        _, report = prune(tiny_net, 1e-12)
+        report = prune(tiny_net, 1e-12)
         assert report.total == 0.0
 
     def test_matches_brute_force_scan(self, rng, tiny_net):
-        _, report = prune(tiny_net, 0.05)
+        report = prune(tiny_net, 0.05)
         for name, layer in tiny_net.all_layers():
             w = layer.conv.weights
             top = np.abs(w).max()
@@ -645,7 +653,7 @@ class TestPrune:
     def test_all_zero_layer_warns(self, tiny_net):
         tiny_net.layers[3].conv.weights[:] = 0.0
         with pytest.warns(UserWarning, match="all zero"):
-            _, report = prune(tiny_net, 0.01)
+            report = prune(tiny_net, 0.01)
         assert report.per_layer["l4"] == 1.0
 
     def test_bad_theta(self, tiny_net):
@@ -830,7 +838,7 @@ class TestTrainLoop:
     def test_finetune_keeps_masks_zero(self, micro_dataset):
         net = init_network(build_robo(1), seed=2)
         train_loop(net, micro_dataset, micro_cfg(), LossWeights())
-        _, report = prune(net, 0.3)
+        report = prune(net, 0.3)
         assert report.total > 0.05
         cfg = micro_cfg(finetune_epochs=2)
         finetune_pruned(net, micro_dataset, cfg, LossWeights())
@@ -897,7 +905,7 @@ class TestTrainLoop:
 
     def test_finetune_changes_unmasked(self, micro_dataset):
         net = init_network(build_robo(1), seed=2)
-        _, _ = prune(net, 0.2)
+        prune(net, 0.2)
         before = net.layers[5].conv.weights.copy()
         finetune_pruned(net, micro_dataset, micro_cfg(finetune_epochs=1),
                         LossWeights())
