@@ -142,7 +142,8 @@ def col2im(
 
 def _slice_step(x: np.ndarray, params: ConvParams) -> int:
     """Images per batch slice: as many as keep the slice's im2col patch
-    matrix within SLICE_BYTES, and at least one."""
+    matrix of x, at params' kernel and stride, within SLICE_BYTES, and at
+    least one."""
     n, c, h, w = x.shape
     k, s = params.kernel, params.stride
     return max(1, SLICE_BYTES // max(1, c * k * k * (h // s) * (w // s) * x.itemsize))
@@ -174,12 +175,19 @@ def conv2d_backward(
     The weight gradient is built transposed, as (in_ch*k*k, out_ch): each
     image's ``cols @ g.T`` is added to it in image order, starting from
     zero, which is how numpy's axis-0 sum over a per-image stack adds; so
-    it equals that sum bit for bit without holding the stack.  With
-    input_grad=False the input gradient is not computed and None takes its
-    place.
+    it equals that sum bit for bit without holding the stack.
+
+    A stride-1 conv's input gradient is the same-padded cross-correlation
+    of grad_out with the kernel flipped in space and with in and out
+    swapped (Dumoulin & Visin, 2016): one matrix product per image on
+    grad_out's patches, written straight into the result, with no col2im.
+    A stride-2 conv scatters ``w2.T @ g`` back with col2im.  Slices are
+    sized so that both the input's and grad_out's patches fit SLICE_BYTES.
+    With input_grad=False the input gradient is not computed and None
+    takes its place.
     """
     _check_conv_input(x, params)
-    n, _, h, w = x.shape
+    n, c, h, w = x.shape
     k, s, p = params.kernel, params.stride, params.padding
     if grad_out.shape != (n, params.out_ch, h // s, w // s):
         raise ShapeError(
@@ -193,14 +201,21 @@ def conv2d_backward(
     term = np.empty_like(grad_w2t)
     grad_input = np.empty(x.shape, np.result_type(w2, g)) if input_grad else None
     step = _slice_step(x, params)
+    if input_grad and s == 1:
+        # (in_ch, out_ch*k*k): w[o, c, k-1-i, k-1-j] at row c, column (o, i, j).
+        w_flip = params.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        gx = grad_input.reshape(n, c, h * w)
+        step = min(step, _slice_step(grad_out, params))
     for i in range(0, n, step):
         xs, gs = x[i : i + step], g[i : i + step]
-        cols = im2col(xs, k, s, p)
-        for cols_j, g_j in zip(cols, gs):
+        if input_grad and s == 1:
+            # grad_out's patches live for this statement only.
+            np.matmul(w_flip, im2col(grad_out[i : i + step], k, 1, p), out=gx[i : i + step])
+        elif input_grad:
+            grad_input[i : i + step] = col2im(np.matmul(w2.T, gs), xs.shape, k, s, p)
+        for cols_j, g_j in zip(im2col(xs, k, s, p), gs):
             np.matmul(cols_j, g_j.T, out=term)
             grad_w2t += term
-        if input_grad:
-            grad_input[i : i + step] = col2im(np.matmul(w2.T, gs), xs.shape, k, s, p)
     grad_weights = grad_w2t.T.reshape(params.weights.shape)
     return grad_input, grad_weights, grad_bias
 

@@ -244,16 +244,6 @@ def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net: Network, lw: Lo
 # Augmentation.
 
 
-def hflip(image, boxes):
-    """Mirror the image and box centers; applying it twice is the identity."""
-    flipped = image[:, ::-1].copy()
-    out = [
-        data_mod.Annotation(a.class_id, BBox(1.0 - a.box.cx, a.box.cy, a.box.w, a.box.h))
-        for a in boxes
-    ]
-    return flipped, out
-
-
 def colour_matrix(brightness, contrast, saturation, hue_deg):
     """The 3x3 RGB matrix of brightness and contrast scales, a saturation
     scale and a hue rotation by hue_deg degrees in the BT.601 chroma plane
@@ -274,29 +264,51 @@ JITTER = 0.25
 HUE_MAX_DEG = 18.0
 
 
-def augment(image, boxes, rng):
-    """Random horizontal flip plus brightness/contrast/saturation/hue jitter.
+def augment(image, boxes, rng, out):
+    """Random horizontal flip plus brightness/contrast/saturation/hue jitter
+    of an 8-bit RGB image, written as YUV planes into out, a float32
+    (3, h, w) array; returns the boxes, mirrored when the image is.
 
-    Operates on 8-bit RGB before any YUV conversion; box sizes are untouched
-    by the photometric ops.  After the flip, the four colour ops are one
-    affine map in 0-255 units: `colour_matrix` plus, on every channel, the
-    offset that makes the contrast scale about the image mean.  The result
-    is clipped and rounded once, back to 8 bits.
+    The four colour ops are one affine map in 0-255 units: `colour_matrix`
+    plus, on every channel, the offset that makes the contrast scale about
+    the image mean.  Its result is clipped to [0, 255] and rounded, as an
+    8-bit image would be, then scaled by 1/255 as in `data.rgb_to_yuv` and
+    mapped to YUV by one matrix product with `data.BT601` and the chroma
+    offset.  Over every 8-bit colour this is within 2**-23 (one float32 step
+    at 1.0) of `data.rgb_to_yuv`.  The map and the mean are the same for
+    every pixel, so flipping the planes at the end equals flipping the
+    8-bit image first.  Box sizes are untouched.
     """
-    if rng.random() < FLIP_PROB:
-        image, boxes = hflip(image, boxes)
+    flip = rng.random() < FLIP_PROB
     brightness = rng.uniform(1 - JITTER, 1 + JITTER)
     contrast = rng.uniform(1 - JITTER, 1 + JITTER)
     saturation = rng.uniform(1 - JITTER, 1 + JITTER)
     hue_deg = rng.uniform(-HUE_MAX_DEG, HUE_MAX_DEG)
     matrix = colour_matrix(brightness, contrast, saturation, hue_deg)
-    offset = (1 - contrast) * brightness * image.mean()
+    # The exact integer sum, so the same float64 as image.mean().
+    offset = (1 - contrast) * brightness * (int(image.sum()) / image.size)
+    # The RGB pixels live in out's buffer, as (h*w, 3), until the YUV map
+    # reads them into the buffer of the float copy of the image, which out
+    # then takes back: one image-sized allocation in all.
+    pixels = image.astype(np.float32).reshape(-1, 3)
+    rgb = out.reshape(-1, 3)
     # C-ordered: on the F-ordered `matrix.T.astype(...)` numpy's matmul takes
     # twice as long for the same bits.
-    out = image.astype(np.float32) @ np.ascontiguousarray(matrix.T, dtype=np.float32)
-    out += np.float32(offset)
-    np.clip(out, 0, 255, out=out)
-    return np.rint(out, out=out).astype(np.uint8), boxes
+    np.matmul(pixels, np.ascontiguousarray(matrix.T, dtype=np.float32), out=rgb)
+    rgb += np.float32(offset)
+    np.clip(rgb, 0, 255, out=rgb)
+    np.rint(rgb, out=rgb)
+    rgb /= np.float32(255)
+    yuv = pixels.reshape(out.shape)
+    np.matmul(np.array(data_mod.BT601, np.float32), rgb.T, out=yuv.reshape(3, -1))
+    centre = np.array([0.0, 0.5, 0.5], np.float32)[:, None, None]
+    np.add(yuv[:, :, ::-1] if flip else yuv, centre, out=out)
+    if flip:
+        boxes = [
+            data_mod.Annotation(a.class_id, BBox(1.0 - a.box.cx, a.box.cy, a.box.w, a.box.h))
+            for a in boxes
+        ]
+    return boxes
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +350,16 @@ def _diagnostics(net, epoch, batch):
 
 def _make_batch(images, targets, ids, rng, augment_data):
     """The YUV input tensor and the targets of the samples ids, augmented
-    when augment_data is set."""
-    xs, batch_targets = [], []
-    for i in ids:
-        img, anns = images[i], targets[i]
+    when augment_data is set; each image is written into its batch slot."""
+    x = np.empty((len(ids), 3) + images[ids[0]].shape[:2], np.float32)
+    batch_targets = []
+    for slot, i in zip(x, ids):
         if augment_data:
-            img, anns = augment(img, anns, rng)
-        xs.append(data_mod.rgb_to_yuv(img))
-        batch_targets.append(anns)
-    return np.stack(xs), batch_targets
+            batch_targets.append(augment(images[i], targets[i], rng, slot))
+        else:
+            slot[...] = data_mod.rgb_to_yuv(images[i])
+            batch_targets.append(targets[i])
+    return x, batch_targets
 
 
 def _loss_and_grads(net, x, batch_targets, lw, epoch, b):

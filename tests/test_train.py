@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import robodet.data
-from robodet.data import BT601, Annotation, generate_toy_dataset, load_all_samples, load_index
+from robodet.data import (
+    BT601,
+    Annotation,
+    generate_toy_dataset,
+    load_all_samples,
+    load_index,
+    rgb_to_yuv,
+)
 from robodet.detect import BBox, encode, sigmoid
 from robodet.evaluate import evaluate
 from robodet import train as train_mod
@@ -36,7 +43,6 @@ from robodet.train import (
     colour_matrix,
     cosine_lr,
     finetune_pruned,
-    hflip,
     parse_config,
     prune,
     train_loop,
@@ -406,10 +412,39 @@ def augment_settings(flip_prob=train_mod.FLIP_PROB, jitter=train_mod.JITTER,
         yield
 
 
-# Float64 reference of augment, written out step by step: brightness,
-# contrast about the mean, then saturation and hue on each pixel's BT.601
-# chroma.  augment folds these into one float32 affine map, so the two agree
-# within one 8-bit step.
+def hflip(image, boxes):
+    """Frozen copy of the deleted `train.hflip`: the mirrored 8-bit image and
+    box centres, as augment flipped them before it wrote YUV planes."""
+    flipped = image[:, ::-1].copy()
+    out = [Annotation(a.class_id, BBox(1.0 - a.box.cx, a.box.cy, a.box.w, a.box.h))
+           for a in boxes]
+    return flipped, out
+
+
+def augment_planes(image, boxes, rng):
+    """augment's YUV planes, in a fresh (3, h, w) array, and its boxes."""
+    out = np.empty((3,) + image.shape[:2], np.float32)
+    boxes = augment(image, boxes, rng, out)
+    return out, boxes
+
+
+# augment maps the clipped and rounded colours to YUV with one matrix
+# product; rgb_to_yuv takes its own order of float32 operations.  They agree
+# within one float32 step at 1.0, the top of the planes' range.
+YUV_ULP = float(np.finfo(np.float32).eps)
+
+
+def assert_yuv_of(planes, rgb8):
+    """planes are the YUV of the 8-bit RGB image rgb8, within YUV_ULP."""
+    want = rgb_to_yuv(rgb8)
+    assert planes.dtype == np.float32 and planes.shape == want.shape
+    np.testing.assert_allclose(planes, want, rtol=0, atol=YUV_ULP)
+
+
+# Float64 reference of augment's 8-bit image, written out step by step:
+# brightness, contrast about the mean, then saturation and hue on each
+# pixel's BT.601 chroma.  augment folds these into one float32 affine map,
+# so the two agree within one 8-bit step.
 
 
 def reference_augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
@@ -430,13 +465,36 @@ def reference_augment(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg
     return np.clip(np.round(rgb), 0, 255).astype(np.uint8), boxes
 
 
+def augment_f_ordered(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
+    """Frozen copy of `augment` as it was when it returned the flipped and
+    jittered 8-bit image, and passed the colour matrix to matmul as an
+    F-ordered transpose."""
+    if rng.random() < flip_prob:
+        image, boxes = hflip(image, boxes)
+    brightness = rng.uniform(1 - jitter, 1 + jitter)
+    contrast = rng.uniform(1 - jitter, 1 + jitter)
+    saturation = rng.uniform(1 - jitter, 1 + jitter)
+    hue_deg = rng.uniform(-hue_max_deg, hue_max_deg)
+    matrix = colour_matrix(brightness, contrast, saturation, hue_deg)
+    offset = (1 - contrast) * brightness * image.mean()
+    out = image.astype(np.float32) @ matrix.T.astype(np.float32)
+    out += np.float32(offset)
+    np.clip(out, 0, 255, out=out)
+    return np.rint(out, out=out).astype(np.uint8), boxes
+
+
 def assert_augment_matches_reference(image, seed, **kw):
+    """The frozen 8-bit copy is within one 8-bit step of the float64
+    reference, and augment's planes are its YUV."""
     boxes = [Annotation(0, BBox(0.3, 0.4, 0.1, 0.2))]
-    with augment_settings(**kw):
-        got, got_boxes = augment(image, boxes, np.random.default_rng(seed))
+    want8, want8_boxes = augment_f_ordered(image, boxes, np.random.default_rng(seed), **kw)
     want, want_boxes = reference_augment(image, boxes, np.random.default_rng(seed), **kw)
-    assert got.dtype == np.uint8 and got.shape == image.shape
-    assert np.abs(got.astype(int) - want).max(initial=0) <= 1
+    assert want8.dtype == np.uint8 and want8.shape == image.shape
+    assert np.abs(want8.astype(int) - want).max(initial=0) <= 1
+    assert want8_boxes == want_boxes
+    with augment_settings(**kw):
+        got, got_boxes = augment_planes(image, boxes, np.random.default_rng(seed))
+    assert_yuv_of(got, want8)
     assert got_boxes == want_boxes
 
 
@@ -458,6 +516,14 @@ class _Draws:
         return self._draws.pop(0)
 
 
+def augment_both(image, *draws):
+    """(augment's planes, the frozen copy's 8-bit image) for the draws."""
+    planes, _ = augment_planes(image, [], _Draws(*draws))
+    want8, _ = augment_f_ordered(image, [], _Draws(*draws))
+    assert_yuv_of(planes, want8)
+    return planes, want8
+
+
 _GREYS = np.stack([_solid(v, v, v)[0] for v in (0, 1, 77, 128, 200, 254, 255)])
 _SATURATIONS = st.floats(0.0, 2.0)
 _HUES = st.floats(-180.0, 180.0)
@@ -476,7 +542,7 @@ class TestColourMatrix:
     def test_grey_is_unchanged_by_saturation_and_hue(self, saturation, hue_deg):
         m = colour_matrix(1.0, 1.0, saturation, hue_deg)
         np.testing.assert_allclose(m @ np.ones(3), np.ones(3), rtol=0, atol=1e-12)
-        out, _ = augment(_GREYS, [], _Draws(1.0, 1.0, saturation, hue_deg))
+        _, out = augment_both(_GREYS, 1.0, 1.0, saturation, hue_deg)
         np.testing.assert_array_equal(out, _GREYS)
 
     @given(hue_deg=_HUES, brightness=st.floats(0.5, 1.5), contrast=st.floats(0.5, 1.5),
@@ -486,7 +552,7 @@ class TestColourMatrix:
         m = colour_matrix(brightness, contrast, 0.0, hue_deg)
         np.testing.assert_allclose(m, m[[0, 0, 0]], rtol=0, atol=1e-12)
         image = np.random.default_rng(seed).integers(0, 256, (8, 8, 3), dtype=np.uint8)
-        out, _ = augment(image, [], _Draws(brightness, contrast, 0.0, hue_deg))
+        _, out = augment_both(image, brightness, contrast, 0.0, hue_deg)
         assert np.abs(np.diff(out.astype(int), axis=-1)).max() <= 1
 
     @given(saturation=_SATURATIONS, hue_deg=_HUES)
@@ -502,9 +568,10 @@ class TestColourMatrix:
         # Mid-range colours stay inside [0, 255] at any hue and this
         # saturation, so only the rounding of each channel moves the luma.
         image = np.random.default_rng(seed).integers(96, 161, (8, 8, 3), dtype=np.uint8)
-        out, _ = augment(image, [], _Draws(1.0, 1.0, saturation, hue_deg))
+        planes, out = augment_both(image, 1.0, 1.0, saturation, hue_deg)
         luma = np.array(BT601[0])
         assert np.abs(out @ luma - image @ luma).max() <= 0.5 + 1e-4
+        assert np.abs(planes[0] * 255 - image @ luma).max() <= 0.5 + 1e-3
 
     @given(hue_deg=_HUES)
     @settings(deadline=None)
@@ -518,14 +585,19 @@ class TestAugment:
     def test_flip_is_involution(self, rng):
         img = rng.integers(0, 256, (24, 32, 3), dtype=np.uint8)
         boxes = [Annotation(0, BBox(0.3, 0.4, 0.1, 0.1))]
-        img2, boxes2 = hflip(*hflip(img, boxes))
-        np.testing.assert_array_equal(img, img2)
+        with augment_settings(flip_prob=1.0, jitter=0.0, hue_max_deg=0.0):
+            once, boxes1 = augment_planes(img, boxes, np.random.default_rng(0))
+            twice, boxes2 = augment_planes(img[:, ::-1], boxes1, np.random.default_rng(0))
+        assert_yuv_of(once, img[:, ::-1])
+        assert_yuv_of(twice, img)
         assert boxes2[0].box.cx == pytest.approx(boxes[0].box.cx)
         assert boxes2[0].box == BBox(boxes2[0].box.cx, 0.4, 0.1, 0.1)
 
     def test_flip_moves_cx(self, rng):
         img = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
-        _, boxes = hflip(img, [Annotation(1, BBox(0.3, 0.4, 0.1, 0.2))])
+        with augment_settings(flip_prob=1.0):
+            _, boxes = augment_planes(img, [Annotation(1, BBox(0.3, 0.4, 0.1, 0.2))],
+                                      np.random.default_rng(0))
         assert boxes[0].box.cx == pytest.approx(0.7)
         assert boxes[0].box.cy == pytest.approx(0.4)
 
@@ -533,31 +605,36 @@ class TestAugment:
         img = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
         boxes = [Annotation(2, BBox(0.5, 0.5, 0.2, 0.2))]
         with augment_settings(flip_prob=0.0, jitter=0.0, hue_max_deg=0.0):
-            out, boxes2 = augment(img, boxes, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, img)
+            out, boxes2 = augment_planes(img, boxes, np.random.default_rng(0))
+        assert_yuv_of(out, img)
         assert boxes2 == boxes
 
     def test_photometric_keeps_box_geometry(self, rng):
         img = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
         boxes = [Annotation(2, BBox(0.5, 0.5, 0.2, 0.2))]
         with augment_settings(flip_prob=0.0):
-            _, boxes2 = augment(img, boxes, np.random.default_rng(1))
+            _, boxes2 = augment_planes(img, boxes, np.random.default_rng(1))
         assert boxes2[0].box.w == pytest.approx(0.2)
         assert boxes2[0].box.h == pytest.approx(0.2)
 
     def test_output_stays_uint8(self, rng):
+        # The jittered colours are still clipped and rounded to 8 bits before
+        # the YUV map: mapped back to RGB, the planes are integers in [0, 255].
         img = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
-        out, _ = augment(img, [], np.random.default_rng(2))
-        assert out.dtype == np.uint8
+        out, _ = augment_planes(img, [], np.random.default_rng(2))
+        rgb = np.linalg.solve(np.array(BT601), out.reshape(3, -1) - [[0.0], [0.5], [0.5]])
+        rgb *= 255
+        assert np.abs(rgb - np.rint(rgb)).max() <= 1e-3
+        assert rgb.min() >= -1e-3 and rgb.max() <= 255 + 1e-3
 
     def test_deterministic_per_seed(self, rng):
         img = rng.integers(0, 256, (16, 24, 3), dtype=np.uint8)
         boxes = [Annotation(1, BBox(0.3, 0.4, 0.1, 0.2))]
-        a, boxes_a = augment(img, boxes, np.random.default_rng(5))
-        b, boxes_b = augment(img, boxes, np.random.default_rng(5))
-        np.testing.assert_array_equal(a, b)
+        a, boxes_a = augment_planes(img, boxes, np.random.default_rng(5))
+        b, boxes_b = augment_planes(img, boxes, np.random.default_rng(5))
+        assert a.tobytes() == b.tobytes()
         assert boxes_a == boxes_b
-        c, _ = augment(img, boxes, np.random.default_rng(6))
+        c, _ = augment_planes(img, boxes, np.random.default_rng(6))
         assert not np.array_equal(a, c)
 
     @given(
@@ -591,24 +668,10 @@ class TestAugment:
             assert_augment_matches_reference(image, k, jitter=0.9, hue_max_deg=180.0)
 
 
-def augment_f_ordered(image, boxes, rng, flip_prob=0.5, jitter=0.25, hue_max_deg=18.0):
-    """Frozen copy of `augment` as it was when it passed the colour matrix to
-    matmul as an F-ordered transpose; `augment` now passes a C-ordered one."""
-    if rng.random() < flip_prob:
-        image, boxes = hflip(image, boxes)
-    brightness = rng.uniform(1 - jitter, 1 + jitter)
-    contrast = rng.uniform(1 - jitter, 1 + jitter)
-    saturation = rng.uniform(1 - jitter, 1 + jitter)
-    hue_deg = rng.uniform(-hue_max_deg, hue_max_deg)
-    matrix = colour_matrix(brightness, contrast, saturation, hue_deg)
-    offset = (1 - contrast) * brightness * image.mean()
-    out = image.astype(np.float32) @ matrix.T.astype(np.float32)
-    out += np.float32(offset)
-    np.clip(out, 0, 255, out=out)
-    return np.rint(out, out=out).astype(np.uint8), boxes
-
-
-def test_augment_bitwise_equals_f_ordered_copy(micro_dataset):
+def test_augment_within_one_ulp_of_f_ordered_copy(micro_dataset):
+    # augment's planes against the YUV of the frozen copy's 8-bit image:
+    # the same draws, the same flip and boxes, the same clipped and rounded
+    # colours, so only the YUV map's rounding differs.
     images = [image for image, _ in load_all_samples(micro_dataset)][:3]
     images += [np.random.default_rng(0).integers(0, 256, (192, 256, 3), dtype=np.uint8),
                np.random.default_rng(1).integers(0, 256, (7, 11, 3), dtype=np.uint8), _GREYS]
@@ -617,11 +680,28 @@ def test_augment_bitwise_equals_f_ordered_copy(micro_dataset):
         for seed in range(6):
             for kw in ({}, {"jitter": 0.9, "hue_max_deg": 180.0}):
                 with augment_settings(**kw):
-                    got, got_boxes = augment(image, boxes, np.random.default_rng(seed))
+                    got, got_boxes = augment_planes(image, boxes, np.random.default_rng(seed))
                 want, want_boxes = augment_f_ordered(image, boxes, np.random.default_rng(seed),
                                                      **kw)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert_yuv_of(got, want)
                 assert got_boxes == want_boxes
+
+
+def test_make_batch_writes_each_image_into_its_slot(micro_dataset):
+    images, targets = train_mod._load_dataset(micro_dataset)
+    ids = np.array([5, 0, 3])
+    x, batch_targets = train_mod._make_batch(images, targets, ids, np.random.default_rng(4),
+                                             augment_data=True)
+    assert x.dtype == np.float32 and x.shape == (3, 3) + images[0].shape[:2]
+    draws = np.random.default_rng(4)
+    for slot, i, got_boxes in zip(x, ids, batch_targets):
+        want, want_boxes = augment_f_ordered(images[i], targets[i], draws)
+        assert_yuv_of(slot, want)
+        assert got_boxes == want_boxes
+    x, batch_targets = train_mod._make_batch(images, targets, ids, None, augment_data=False)
+    for slot, i, got_boxes in zip(x, ids, batch_targets):
+        assert slot.tobytes() == rgb_to_yuv(images[i]).tobytes()
+        assert got_boxes is targets[i]
 
 
 class TestPrune:
