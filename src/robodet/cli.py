@@ -13,7 +13,7 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,25 +101,21 @@ def render_overlay(image: np.ndarray, detections, out_path) -> None:
     data_mod.write_ppm(out_path, canvas)
 
 
-# Flags that override the TrainConfig field of the same name.
-_CONFIG_FLAGS = ("epochs", "batch", "lr_max", "lr_min", "seed", "transfer_layers",
-                 "finetune_epochs")
-
-
 def _train_config(args) -> tuple[train_mod.TrainConfig, train_mod.LossWeights]:
-    """TrainConfig and LossWeights from --config (or the defaults) with the
-    command's flags on top; a flag the command lacks or leaves unset keeps
-    the file's value.
-    """
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_FLAGS}
-    l1 = getattr(args, "l1", None)
+    """TrainConfig and LossWeights from --config (or the defaults), each flag
+    on top of the field of its name; a flag the command lacks or leaves unset
+    keeps the file's value.  An error in the file names the file."""
     if args.config:
-        cfg, lw = train_mod.parse_config(Path(args.config).read_text())
+        text = "".join(data_mod._read_lines(args.config))
+        try:
+            cfg, lw = train_mod.parse_config(text)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     else:
         cfg, lw = train_mod.TrainConfig(), train_mod.LossWeights()
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    if l1 is not None:
-        lw = replace(lw, l1=l1)
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    cfg, lw = (replace(obj, **{f.name: given[f.name] for f in fields(obj) if f.name in given})
+               for obj in (cfg, lw))
     return cfg, lw
 
 
@@ -393,7 +389,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="mAP sweep over IoU and center-distance criteria")
     p.add_argument("--data", required=True)
     p.add_argument("--weights", nargs="+", required=True)
-    p.add_argument("--conf", type=float, default=0.01)
+    p.add_argument("--conf", type=float, default=eval_mod.EVAL_CONF_THRESHOLD)
     p.add_argument("--out", help="write the sweep as CSV")
     p.add_argument("--per-class", dest="per_class", help="write per-class CSV")
     p.set_defaults(func=cmd_eval)

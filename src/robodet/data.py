@@ -15,12 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detect import BBox
-from .model import CLASS_NAMES
+from .detect import BBox, iou
+from .model import BASE_INPUT_HW, CLASS_NAMES
 
 INDEX_FILE = "index.txt"
-TOY_WIDTH = 256
-TOY_HEIGHT = 192
 
 # Minimum box side kept by filter_min_size: 8 pixels of a VGA-width image.
 MIN_WH = 8 / 640
@@ -183,36 +181,36 @@ def filter_min_size(annotations):
 # ---------------------------------------------------------------------------
 # Color conversion (BT.601 full range, the JFIF YCbCr matrix).
 
-# Rows give Y, U and V from RGB; U and V are centred at 0 here and at 0.5 in
-# rgb_to_yuv.  Python floats, so that they scale float32 planes in float32.
+# Rows give Y, U and V from RGB in [0, 1], with U and V centred at 0.  Python
+# floats, for the float64 algebra of train.colour_matrix.
 BT601 = (
     (0.299, 0.587, 0.114),
     (-0.168736, -0.331264, 0.5),
     (0.5, -0.418688, -0.081312),
 )
+# The float32 map that rgb_to_yuv and train.augment share: the planes are
+# BT601_F32 @ (rgb / 255), by yuv_product, plus YUV_OFFSET, which centres
+# chroma at 0.5.
+BT601_F32 = np.array(BT601, np.float32)
+YUV_OFFSET = np.array([0.0, 0.5, 0.5], np.float32)[:, None, None]
+
+
+def yuv_product(rgb: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (h*w, 3) float32 RGB pixels rgb, in 0-255 units, scaled in place
+    by 1/255 and multiplied by BT601_F32 into the C-ordered float32
+    (3, h, w) planes out, which are returned; the chroma offset is the
+    caller's to add."""
+    rgb /= np.float32(255)
+    np.matmul(BT601_F32, rgb.T, out=out.reshape(3, -1))
+    return out
 
 
 def rgb_to_yuv(image: np.ndarray) -> np.ndarray:
-    """8-bit (h, w, 3) RGB -> float32 (3, h, w) YUV with channels in [0, 1];
-    chroma is centered at 0.5.
-
-    Each plane is ``0.5 + ur * r + ug * g + ub * b`` (no 0.5 for Y) in that
-    order of operations, built in place in the output with one scratch plane.
-    """
-    rgb = np.empty((3,) + image.shape[:2], dtype=np.float32)
-    np.copyto(rgb, image.transpose(2, 0, 1))
-    rgb /= 255.0
-    r, g, b = rgb
-    out = np.empty_like(rgb)
-    tmp = np.empty_like(r)
-    for plane, (cr, cg, cb), centre in zip(out, BT601, (0.0, 0.5, 0.5)):
-        np.multiply(r, cr, out=plane)
-        if centre:
-            plane += centre
-        np.multiply(g, cg, out=tmp)
-        plane += tmp
-        np.multiply(b, cb, out=tmp)
-        plane += tmp
+    """8-bit (h, w, 3) RGB -> float32 (3, h, w) YUV with channels in [0, 1]:
+    yuv_product of the pixels, plus YUV_OFFSET in place."""
+    rgb = image.astype(np.float32, order="C").reshape(-1, 3)
+    out = yuv_product(rgb, np.empty((3,) + image.shape[:2], np.float32))
+    out += YUV_OFFSET
     return out
 
 
@@ -346,8 +344,6 @@ def _rasterize(image, grids, class_id, geom, color, jitter):
 def _draw_object(image, grids, class_id, rng, palette, existing):
     """Rasterize one object fully inside the image, resampling its position
     a few times to avoid heavy overlap; returns its exact BBox."""
-    from .detect import iou
-
     h, w = image.shape[:2]
     geom = _sample_geometry(class_id, rng, w, h)
     for _ in range(8):
@@ -363,7 +359,8 @@ def _draw_object(image, grids, class_id, rng, palette, existing):
 
 
 def generate_toy_dataset(n_images: int, style: str = "A", seed: int = 0, out_dir=".") -> DatasetIndex:
-    """Render n deterministic 256x192 field scenes with exact annotations.
+    """Render n deterministic field scenes, at the k=1 model input size
+    `model.BASE_INPUT_HW`, with exact annotations.
 
     Each image holds 0..4 objects; classes are dealt from a shuffled
     round-robin stream so the dataset stays balanced.  The returned index is
@@ -378,7 +375,8 @@ def generate_toy_dataset(n_images: int, style: str = "A", seed: int = 0, out_dir
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:TOY_HEIGHT, 0:TOY_WIDTH].astype(np.float32)
+    height, width = BASE_INPUT_HW
+    yy, xx = np.mgrid[0:height, 0:width].astype(np.float32)
 
     class_queue: list[int] = []
 
@@ -391,7 +389,7 @@ def generate_toy_dataset(n_images: int, style: str = "A", seed: int = 0, out_dir
     for i in range(n_images):
         base = np.asarray(palette["field"], dtype=np.float32)
         shade = rng.uniform(0.93, 1.07)
-        image = np.tile(base * shade, (TOY_HEIGHT, TOY_WIDTH, 1))
+        image = np.tile(base * shade, (height, width, 1))
         image += rng.normal(0, 3, size=image.shape).astype(np.float32)
         annotations = []
         for _ in range(int(rng.integers(0, 5))):

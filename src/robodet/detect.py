@@ -236,24 +236,25 @@ def save_anchors(path, anchors: np.ndarray) -> None:
 
 
 def load_anchors(path) -> np.ndarray:
+    from .data import _read_lines  # data imports this module
+
     table = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in CLASS_NAMES:
-                raise ValueError(f"{path}:{lineno}: expected '<class> <w> <h>'")
-            try:
-                size = (float(parts[1]), float(parts[2]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric anchor size") from None
-            if not all(ANCHOR_MIN <= v <= ANCHOR_MAX for v in size):  # False for NaN
-                raise ValueError(f"{path}:{lineno}: anchor size must be finite and positive")
-            if parts[0] in table:
-                raise ValueError(f"{path}:{lineno}: duplicate anchors for '{parts[0]}'")
-            table[parts[0]] = size
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3 or parts[0] not in CLASS_NAMES:
+            raise ValueError(f"{path}:{lineno}: expected '<class> <w> <h>'")
+        try:
+            size = (float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric anchor size") from None
+        if not all(ANCHOR_MIN <= v <= ANCHOR_MAX for v in size):  # False for NaN
+            raise ValueError(f"{path}:{lineno}: anchor size must be finite and positive")
+        if parts[0] in table:
+            raise ValueError(f"{path}:{lineno}: duplicate anchors for '{parts[0]}'")
+        table[parts[0]] = size
     missing = [n for n in CLASS_NAMES if n not in table]
     if missing:
         raise ValueError(f"{path}: missing anchors for {', '.join(missing)}")

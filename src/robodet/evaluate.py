@@ -24,6 +24,8 @@ from .model import CLASS_NAMES
 
 DEFAULT_IOU_SWEEP = (0.75, 0.5, 0.25, 0.1, 0.05)
 DEFAULT_DISTANCE_SWEEP = (4.0, 8.0, 16.0, 32.0, 64.0)
+# evaluate's confidence threshold: low, so each class's recall can run high.
+EVAL_CONF_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ def evaluate_detections(per_image_dets, per_image_gts, criteria, image_size) -> 
 _EVAL_CHUNK = 4
 
 
-def evaluate(net, index, criteria=DEFAULT_CRITERIA, conf_threshold: float = 0.01):
+def evaluate(net, index, criteria=DEFAULT_CRITERIA, conf_threshold: float = EVAL_CONF_THRESHOLD):
     """Run inference over a dataset index and score the criterion sweep.
 
     The forward pass takes `_EVAL_CHUNK` images at a time, through one

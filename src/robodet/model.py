@@ -30,6 +30,10 @@ CLASS_NAMES = ("ball", "crossing", "goalpost", "robot")
 HEAD_LO = "head_lo"
 HEAD_HI = "head_hi"
 
+# (height, width) of the k=1 input, which ModelSpec.input_hw scales by k and
+# data.generate_toy_dataset renders.
+BASE_INPUT_HW = (192, 256)
+
 WEIGHT_MAGIC = b"ROBO"
 WEIGHT_VERSION = 1
 
@@ -89,8 +93,8 @@ class ModelSpec:
 
     @property
     def input_hw(self) -> tuple[int, int]:
-        """(height, width): k times 192x256."""
-        return 192 * self.k, 256 * self.k
+        """(height, width): k times BASE_INPUT_HW."""
+        return tuple(side * self.k for side in BASE_INPUT_HW)
 
     @property
     def total_stride(self) -> int:
@@ -149,7 +153,7 @@ def _validate(spec: ModelSpec) -> ModelSpec:
                 f"({layer.in_ch} -> {layer.out_ch})"
             )
     taps = {l.tap for l in spec.layers if l.tap}
-    if taps != {HEAD_LO, HEAD_HI}:
+    if taps != {h.name for h in HEADS}:
         raise ValueError(f"expected exactly one tap per head, got {taps}")
     h, w = spec.input_hw
     if h % spec.total_stride or w % spec.total_stride:
@@ -177,9 +181,10 @@ def build_robo(k: int = 2) -> ModelSpec:
 
 def build_robo_hr(k: int = 1) -> ModelSpec:
     """Low-resolution ROBO variant: first strided conv removed, input fixed
-    at 192x256 so the head grids match ROBO at k=2.  k=1 is the only size."""
+    at BASE_INPUT_HW so the head grids match ROBO at k=2: k=1 only."""
     if k != 1:
-        raise ValueError(f"robo_hr has a fixed 192x256 input; k must be 1, got {k}")
+        h, w = BASE_INPUT_HW
+        raise ValueError(f"robo_hr has a fixed {h}x{w} input; k must be 1, got {k}")
     rows = [(3, 2, 3, 8)] + [list(r) for r in _ROBO_BACKBONE[2:]]
     layers = _make_layers(rows, _ROBO_TAP_HI - 1, _ROBO_TAP_LO - 1)
     return _validate(ModelSpec("robo_hr", 1, layers))
@@ -251,8 +256,8 @@ class Network:
         """Backbone layers then heads, with their parameter-name prefixes."""
         for i, layer in enumerate(self.layers, start=1):
             yield f"l{i}", layer
-        for name in (HEAD_LO, HEAD_HI):
-            yield name, self.heads[name]
+        for head in HEADS:
+            yield head.name, self.heads[head.name]
 
     def apply_masks(self) -> None:
         for _, layer in self.all_layers():
@@ -301,7 +306,7 @@ def forward(net: Network, x: np.ndarray):
         x = leaky_relu(x)
         if layer.spec.tap:
             taps[layer.spec.tap] = x
-    return tuple(conv2d_forward(taps[name], net.heads[name].conv) for name in (HEAD_LO, HEAD_HI))
+    return tuple(conv2d_forward(taps[h.name], net.heads[h.name].conv) for h in HEADS)
 
 
 def forward_with_cache(net: Network, x: np.ndarray):
@@ -323,7 +328,7 @@ def forward_with_cache(net: Network, x: np.ndarray):
         x = leaky_relu(zn)
         if layer.spec.tap:
             taps[layer.spec.tap] = x
-    heads = tuple(conv2d_forward(taps[name], net.heads[name].conv) for name in (HEAD_LO, HEAD_HI))
+    heads = tuple(conv2d_forward(taps[h.name], net.heads[h.name].conv) for h in HEADS)
     return heads, {"layers": cache, "taps": taps}
 
 
@@ -340,7 +345,7 @@ def backward(net: Network, cache, grad_lo: np.ndarray, grad_hi: np.ndarray):
     """
     grads: dict[str, np.ndarray] = {}
     tap_grads = {}
-    for name, g in ((HEAD_LO, grad_lo), (HEAD_HI, grad_hi)):
+    for name, g in zip((h.name for h in HEADS), (grad_lo, grad_hi)):
         tap_grads[name], grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(
             cache["taps"].pop(name), net.heads[name].conv, g
         )

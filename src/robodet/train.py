@@ -16,8 +16,6 @@ from . import data as data_mod
 from .detect import BBox, encode, sigmoid
 from .model import (
     CLASS_NAMES,
-    HEAD_HI,
-    HEAD_LO,
     HEADS,
     Network,
     backward,
@@ -214,9 +212,9 @@ def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net: Network, lw: Lo
     cells = _assign_targets(targets_per_image, net.spec, net.anchors)
     l1 = lw.l1 * _l1_term(net) if lw.l1 else 0.0
     total = 0.0
-    grads = {}
-    for name, raw in ((HEAD_LO, raw_lo), (HEAD_HI, raw_hi)):
-        b, slot, i, j, (txh, tyh, twh, thh) = cells[name]
+    grads = []
+    for head, raw in zip(HEADS, (raw_lo, raw_hi)):
+        b, slot, i, j, (txh, tyh, twh, thh) = cells[head.name]
         to = raw[:, 4::5]  # (n, slots, gh, gw)
         grad = np.zeros_like(raw)
         grad[:, 4::5] = lw.noobj * sigmoid(to)
@@ -236,8 +234,8 @@ def batch_detection_loss(raw_lo, raw_hi, targets_per_image, net: Network, lw: Lo
         grad[b, base + 2, i, j] = lw.coord * 2 * (tw - twh)
         grad[b, base + 3, i, j] = lw.coord * 2 * (th - thh)
         grad[b, base + 4, i, j] = lw.obj * (sigmoid(t_o) - 1.0)
-        grads[name] = grad / n
-    return float(total) / n + l1, grads[HEAD_LO], grads[HEAD_HI]
+        grads.append(grad / n)
+    return (float(total) / n + l1, *grads)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +270,12 @@ def augment(image, boxes, rng, out):
     The four colour ops are one affine map in 0-255 units: `colour_matrix`
     plus, on every channel, the offset that makes the contrast scale about
     the image mean.  Its result is clipped to [0, 255] and rounded, as an
-    8-bit image would be, then scaled by 1/255 as in `data.rgb_to_yuv` and
-    mapped to YUV by one matrix product with `data.BT601` and the chroma
-    offset.  Over every 8-bit colour this is within 2**-23 (one float32 step
-    at 1.0) of `data.rgb_to_yuv`.  The map and the mean are the same for
-    every pixel, so flipping the planes at the end equals flipping the
-    8-bit image first.  Box sizes are untouched.
+    8-bit image would be, then mapped to YUV as `data.rgb_to_yuv` maps it:
+    by `data.yuv_product` (the 1/255 scale and the float32 BT.601 product),
+    plus `data.YUV_OFFSET`.
+    The planes equal `data.rgb_to_yuv` of that 8-bit image bit for bit.  The
+    map and the mean are the same for every pixel, so flipping the planes at
+    the end equals flipping the 8-bit image first.  Box sizes are untouched.
     """
     flip = rng.random() < FLIP_PROB
     brightness = rng.uniform(1 - JITTER, 1 + JITTER)
@@ -298,11 +296,8 @@ def augment(image, boxes, rng, out):
     rgb += np.float32(offset)
     np.clip(rgb, 0, 255, out=rgb)
     np.rint(rgb, out=rgb)
-    rgb /= np.float32(255)
-    yuv = pixels.reshape(out.shape)
-    np.matmul(np.array(data_mod.BT601, np.float32), rgb.T, out=yuv.reshape(3, -1))
-    centre = np.array([0.0, 0.5, 0.5], np.float32)[:, None, None]
-    np.add(yuv[:, :, ::-1] if flip else yuv, centre, out=out)
+    yuv = data_mod.yuv_product(rgb, pixels.reshape(out.shape))
+    np.add(yuv[:, :, ::-1] if flip else yuv, data_mod.YUV_OFFSET, out=out)
     if flip:
         boxes = [
             data_mod.Annotation(a.class_id, BBox(1.0 - a.box.cx, a.box.cy, a.box.w, a.box.h))

@@ -284,8 +284,24 @@ class TestExitCodes:
                      "--config", str(config)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:") and message in err
+        assert err.startswith(f"error: {config}: ") and message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, raw", [
+        ("--config", b"epochs=3\n\xff\n"),
+        ("--anchors", b"ball 0.1 0.1\n\xfe\n"),
+    ], ids=["config", "anchors"])
+    def test_non_utf8_input_file_is_validation_error(self, toy_dir, tmp_path, capsys,
+                                                     flag, raw):
+        path = tmp_path / "input.txt"
+        path.write_bytes(raw)
+        out = tmp_path / "x.rbw"
+        code = main(["train", "--data", str(toy_dir), "--out", str(out), "--epochs", "1",
+                     flag, str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: not UTF-8 text") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", [
@@ -359,7 +375,8 @@ class TestExitCodes:
         code = main(argv + ["--out", str(out), "--config", str(config)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith("error: line 1: unknown config key 'prune_threshold'")
+        assert captured.err.startswith(
+            f"error: {config}: line 1: unknown config key 'prune_threshold'")
         assert captured.out == ""
         assert not out.exists()
 

@@ -108,13 +108,19 @@ class TestAnchors:
             st.lists(line, min_size=1, max_size=6).map("\n".join),
             line.map(lambda extra: valid + extra),
         ))
+        raw = text.encode()
+        # Each non-empty insert leaves the ASCII text invalid UTF-8, wherever it goes.
+        spot = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from([b"", b"\xff", b"\xc3", b"\x80\x80", b"\xed\xa0\x80"]))
         path = fuzz_dir / "anchors.txt"
-        path.write_text(text)
+        path.write_bytes(raw[:spot] + bad + raw[spot:])
         try:
             anchors = load_anchors(path)
         except ValueError as exc:
-            assert str(exc).startswith(f"{path}")
+            assert not isinstance(exc, UnicodeDecodeError)
+            assert str(exc).startswith(f"{path}:")
         else:
+            assert not bad
             assert anchors.shape == (4, 2) and anchors.dtype == np.float32
             assert np.isfinite(anchors).all() and (anchors > 0).all()
 

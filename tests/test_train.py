@@ -428,17 +428,12 @@ def augment_planes(image, boxes, rng):
     return out, boxes
 
 
-# augment maps the clipped and rounded colours to YUV with one matrix
-# product; rgb_to_yuv takes its own order of float32 operations.  They agree
-# within one float32 step at 1.0, the top of the planes' range.
-YUV_ULP = float(np.finfo(np.float32).eps)
-
-
 def assert_yuv_of(planes, rgb8):
-    """planes are the YUV of the 8-bit RGB image rgb8, within YUV_ULP."""
+    """planes are the YUV of the 8-bit RGB image rgb8, bit for bit: augment
+    maps its clipped and rounded colours to YUV as rgb_to_yuv does."""
     want = rgb_to_yuv(rgb8)
     assert planes.dtype == np.float32 and planes.shape == want.shape
-    np.testing.assert_allclose(planes, want, rtol=0, atol=YUV_ULP)
+    assert planes.tobytes() == want.tobytes()
 
 
 # Float64 reference of augment's 8-bit image, written out step by step:
@@ -668,10 +663,10 @@ class TestAugment:
             assert_augment_matches_reference(image, k, jitter=0.9, hue_max_deg=180.0)
 
 
-def test_augment_within_one_ulp_of_f_ordered_copy(micro_dataset):
+def test_augment_bitwise_equals_yuv_of_f_ordered_copy(micro_dataset):
     # augment's planes against the YUV of the frozen copy's 8-bit image:
     # the same draws, the same flip and boxes, the same clipped and rounded
-    # colours, so only the YUV map's rounding differs.
+    # colours and the same YUV map, so the planes match bit for bit.
     images = [image for image, _ in load_all_samples(micro_dataset)][:3]
     images += [np.random.default_rng(0).integers(0, 256, (192, 256, 3), dtype=np.uint8),
                np.random.default_rng(1).integers(0, 256, (7, 11, 3), dtype=np.uint8), _GREYS]
