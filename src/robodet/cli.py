@@ -107,10 +107,7 @@ def _train_config(args) -> tuple[train_mod.TrainConfig, train_mod.LossWeights]:
     keeps the file's value.  An error in the file names the file."""
     if args.config:
         text = "".join(data_mod._read_lines(args.config))
-        try:
-            cfg, lw = train_mod.parse_config(text)
-        except ValueError as exc:
-            raise ValueError(f"{args.config}: {exc}") from None
+        cfg, lw = train_mod.parse_config(text, args.config)
     else:
         cfg, lw = train_mod.TrainConfig(), train_mod.LossWeights()
     given = {k: v for k, v in vars(args).items() if v is not None}
@@ -158,7 +155,7 @@ def _dataset_anchors(index: data_mod.DatasetIndex) -> np.ndarray:
 
 def _resolve_anchors(args, index) -> np.ndarray:
     if getattr(args, "anchors", None):
-        return detect_mod.load_anchors(args.anchors)
+        return data_mod.load_anchors(args.anchors)
     return _dataset_anchors(index)
 
 
@@ -192,7 +189,7 @@ def cmd_anchors(args) -> int:
     index = data_mod.load_index(args.data)
     anchors = _dataset_anchors(index)
     out = args.out or str(Path(args.data) / "anchors.txt")
-    detect_mod.save_anchors(out, anchors)
+    data_mod.save_anchors(out, anchors)
     for name, (aw, ah) in zip(model_mod.CLASS_NAMES, anchors):
         print(f"{name}: {aw:.4f} x {ah:.4f}")
     print(f"anchors written to {out}")

@@ -3,7 +3,9 @@
 Images are 8-bit RGB numpy arrays of shape (h, w, 3) stored as binary PPM
 (P6).  Annotations are text files with one `class_id cx cy w h` line per
 object, all fields normalized to the image.  A dataset directory holds an
-`index.txt` with one `image.ppm annotations.txt` pair per line.
+`index.txt` with one `image.ppm annotations.txt` pair per line.  An anchor
+file holds one `<class> <w> <h>` line per class, sizes normalized to the
+image.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detect import BBox, iou
-from .model import BASE_INPUT_HW, CLASS_NAMES
+from .model import ANCHOR_MAX, ANCHOR_MIN, BASE_INPUT_HW, CLASS_NAMES
 
 INDEX_FILE = "index.txt"
 
@@ -176,6 +178,40 @@ def save_annotations(path, annotations) -> None:
 
 def filter_min_size(annotations):
     return [a for a in annotations if a.box.w >= MIN_WH and a.box.h >= MIN_WH]
+
+
+# ---------------------------------------------------------------------------
+# Anchor files.
+
+
+def save_anchors(path, anchors: np.ndarray) -> None:
+    with open(path, "w") as f:
+        for name, (aw, ah) in zip(CLASS_NAMES, anchors):
+            f.write(f"{name} {aw:.6f} {ah:.6f}\n")
+
+
+def load_anchors(path) -> np.ndarray:
+    table = {}
+    for lineno, raw in enumerate(_read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3 or parts[0] not in CLASS_NAMES:
+            raise ValueError(f"{path}:{lineno}: expected '<class> <w> <h>'")
+        try:
+            size = (float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric anchor size") from None
+        if not all(ANCHOR_MIN <= v <= ANCHOR_MAX for v in size):  # False for NaN
+            raise ValueError(f"{path}:{lineno}: anchor size must be finite and positive")
+        if parts[0] in table:
+            raise ValueError(f"{path}:{lineno}: duplicate anchors for '{parts[0]}'")
+        table[parts[0]] = size
+    missing = [n for n in CLASS_NAMES if n not in table]
+    if missing:
+        raise ValueError(f"{path}: missing anchors for {', '.join(missing)}")
+    return np.array([table[n] for n in CLASS_NAMES], dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------

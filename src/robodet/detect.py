@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ANCHOR_MAX, ANCHOR_MIN, CLASS_NAMES, HEADS, HeadSpec
+from .model import CLASS_NAMES, HEADS, HeadSpec
 from .tensor import ShapeError
 
 DEFAULT_CONF_THRESHOLD = 0.5
@@ -227,35 +227,3 @@ def format_detections(detections) -> str:
         for d in detections
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def save_anchors(path, anchors: np.ndarray) -> None:
-    with open(path, "w") as f:
-        for name, (aw, ah) in zip(CLASS_NAMES, anchors):
-            f.write(f"{name} {aw:.6f} {ah:.6f}\n")
-
-
-def load_anchors(path) -> np.ndarray:
-    from .data import _read_lines  # data imports this module
-
-    table = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[0] not in CLASS_NAMES:
-            raise ValueError(f"{path}:{lineno}: expected '<class> <w> <h>'")
-        try:
-            size = (float(parts[1]), float(parts[2]))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric anchor size") from None
-        if not all(ANCHOR_MIN <= v <= ANCHOR_MAX for v in size):  # False for NaN
-            raise ValueError(f"{path}:{lineno}: anchor size must be finite and positive")
-        if parts[0] in table:
-            raise ValueError(f"{path}:{lineno}: duplicate anchors for '{parts[0]}'")
-        table[parts[0]] = size
-    missing = [n for n in CLASS_NAMES if n not in table]
-    if missing:
-        raise ValueError(f"{path}: missing anchors for {', '.join(missing)}")
-    return np.array([table[n] for n in CLASS_NAMES], dtype=np.float32)

@@ -9,7 +9,9 @@ once; score ties break toward the lower ground-truth index.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
+import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -179,39 +181,77 @@ def evaluate_detections(per_image_dets, per_image_gts, criteria, image_size) -> 
     return reports
 
 
-# Images per forward pass in `evaluate`.  Convs run one matrix product per
-# image of a chunk, so each image's heads equal its batch-1 heads bit for
-# bit; a chunk only shares each layer call's fixed cost.  On perfbench's
-# `eval` workload (robo k=1, 32 toy images, 2 vCPUs, one BLAS thread, seeds
-# 5 and 6), chunks of 1, 2, 3, 4, 6 and 8 images ran at 397-430, 401-459,
-# 449-471, 491-504, 505-506 and 480-505 img/s with peak RSS of 47.6, 48.4,
-# 49.2, 50.2, 51.8 and 53.5 MB: past 4 the speed levels off and the memory
-# keeps growing.
+# Images in flight in `evaluate`: one stream runs chunks of 4, two streams
+# run chunks of 2 each.  Convs run one matrix product per image of a chunk,
+# so each image's heads equal its batch-1 heads bit for bit, whatever the
+# chunk size or stream count; a chunk only shares each layer call's fixed
+# cost.  On perfbench's `eval` workload (robo k=1, 32 toy images, one BLAS
+# thread, a shared 2-vCPU Xeon host, 8 s runs at seeds 951-953), threads x
+# chunk ran at:
+#   caller alone x 4            445-460 img/s, peak RSS 50.8 MB
+#   caller + 1 worker x 2       565-605 img/s, peak RSS 52.6-53.0 MB (used)
+#   caller + 1 worker x 4       638-693 img/s, peak RSS 56.3-56.4 MB
+#   2 workers, idle caller x 4  603-670 img/s, peak RSS 58.8-58.9 MB
+#   2 workers, idle caller x 2  556-587 img/s, peak RSS 55.6-55.8 MB
+# The others hold 5-8 MB more than the serial loop, near or past the
+# benchmark's 10% peak-RSS bound: each thread that calls BLAS adds its
+# OpenBLAS buffer, and each image in flight its activations.
 _EVAL_CHUNK = 4
+
+
+def _streams() -> int:
+    """2 when at least two CPUs are available and BLAS runs one thread per
+    call, as OpenBLAS reads it from OPENBLAS_NUM_THREADS, then
+    OMP_NUM_THREADS; else 1, since more BLAS threads keep both cores busy
+    already."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    return 2 if cpus >= 2 and blas == "1" else 1
 
 
 def evaluate(net, index, criteria=DEFAULT_CRITERIA, conf_threshold: float = EVAL_CONF_THRESHOLD):
     """Run inference over a dataset index and score the criterion sweep.
 
-    The forward pass takes `_EVAL_CHUNK` images at a time, through one
-    preallocated input buffer; decoding and postprocessing stay per image.
+    The images go in chunks, each through its stream's preallocated input
+    buffer; decoding and postprocessing stay per image.  With `_streams`
+    at 2, one worker thread runs the odd chunks while the caller runs the
+    even ones.  Results join in chunk order, so the reports, and the error
+    raised for the lowest-index bad image, equal the serial loop's.
     """
     width, height = index.image_size
-    chunk = np.empty((min(_EVAL_CHUNK, len(index)), 3, height, width), dtype=np.float32)
-    per_image_dets = []
-    per_image_gts = []
-    for start in range(0, len(index), _EVAL_CHUNK):
-        x = chunk[: len(index) - start]
+    streams = _streams()
+    size = _EVAL_CHUNK // streams
+    starts = range(0, len(index), size)
+    buffers = [np.empty((min(size, len(index)), 3, height, width), dtype=np.float32)
+               for _ in range(streams)]
+
+    def run(j):
+        """(detections, ground truths) per image of chunk j."""
+        x = buffers[j % streams][: len(index) - starts[j]]
+        dets, gts = [], []
         for k, yuv in enumerate(x):
-            image, annotations = data_mod.load_sample(index, start + k)
+            image, annotations = data_mod.load_sample(index, starts[j] + k)
             yuv[...] = data_mod.rgb_to_yuv(image)
-            per_image_gts.append(annotations)
+            gts.append(annotations)
         raw_lo, raw_hi = model_mod.forward(net, x)
         for k in range(len(x)):
             lo, hi = detect_mod.decode_network_output(
                 raw_lo[k : k + 1], raw_hi[k : k + 1], net.spec, net.anchors
             )
-            per_image_dets.append(detect_mod.postprocess(lo, hi, conf_threshold=conf_threshold))
+            dets.append(detect_mod.postprocess(lo, hi, conf_threshold=conf_threshold))
+        return dets, gts
+
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)  # no thread until a submit
+    try:
+        odd = {j: pool.submit(run, j) for j in range(1, len(starts), 2)} if streams > 1 else {}
+        chunks = [odd[j].result() if j in odd else run(j) for j in range(len(starts))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    per_image_dets = [d for dets, _ in chunks for d in dets]
+    per_image_gts = [g for _, gts in chunks for g in gts]
     return evaluate_detections(per_image_dets, per_image_gts, criteria, index.image_size)
 
 

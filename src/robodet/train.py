@@ -82,8 +82,10 @@ _LOSS_KEYS = {"lambda_coord": "coord", "lambda_obj": "obj",
               "lambda_noobj": "noobj", "lambda_l1": "l1"}
 
 
-def parse_config(text: str) -> tuple[TrainConfig, LossWeights]:
-    """Flat key=value config covering TrainConfig and the loss weights."""
+def parse_config(text: str, source) -> tuple[TrainConfig, LossWeights]:
+    """Flat key=value config covering TrainConfig and the loss weights,
+    read from source; an error names source (and the line, for a bad
+    line)."""
     cfg_kwargs = {}
     loss_kwargs = {}
     known = {f.name for f in fields(TrainConfig)}
@@ -92,10 +94,10 @@ def parse_config(text: str) -> tuple[TrainConfig, LossWeights]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value")
+            raise ValueError(f"{source}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _LOSS_KEYS and key not in known:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+            raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
         try:
             if key in _LOSS_KEYS:
                 loss_kwargs[_LOSS_KEYS[key]] = float(value)
@@ -106,8 +108,11 @@ def parse_config(text: str) -> tuple[TrainConfig, LossWeights]:
             else:
                 cfg_kwargs[key] = float(value)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {key}: {exc}") from None
-    return TrainConfig(**cfg_kwargs), LossWeights(**loss_kwargs)
+            raise ValueError(f"{source}:{lineno}: {key}: {exc}") from None
+    try:
+        return TrainConfig(**cfg_kwargs), LossWeights(**loss_kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def cosine_lr(t: int, total: int, cfg: TrainConfig) -> float:

@@ -13,8 +13,15 @@ import pytest
 from robodet import cli
 from robodet import train as train_mod
 from robodet.cli import box_pixel_rect, build_parser, main, render_overlay
-from robodet.data import generate_toy_dataset, load_index, read_ppm, write_ppm
-from robodet.detect import BBox, Detection, load_anchors, save_anchors
+from robodet.data import (
+    generate_toy_dataset,
+    load_anchors,
+    load_index,
+    read_ppm,
+    save_anchors,
+    write_ppm,
+)
+from robodet.detect import BBox, Detection
 from robodet.evaluate import evaluate
 from robodet.model import (
     CLASS_NAMES,
@@ -271,9 +278,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line, message", [
         ("lambda_coord=inf", "loss weight coord must be finite"),
-        ("epochs=abc", "line 1: epochs: invalid literal"),
-        ("lr_max=", "line 1: lr_max: could not convert"),
-        ("lambda_l1=x", "line 1: lambda_l1: could not convert"),
+        ("epochs=abc", ":1: epochs: invalid literal"),
+        ("lr_max=", ":1: lr_max: could not convert"),
+        ("lambda_l1=x", ":1: lambda_l1: could not convert"),
     ])
     def test_bad_config_line_names_the_value(self, toy_dir, tmp_path, capsys, line,
                                              message):
@@ -284,7 +291,7 @@ class TestExitCodes:
                      "--config", str(config)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {config}: ") and message in err
+        assert err.startswith(f"error: {config}:") and message in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -376,7 +383,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith(
-            f"error: {config}: line 1: unknown config key 'prune_threshold'")
+            f"error: {config}:1: unknown config key 'prune_threshold'")
         assert captured.out == ""
         assert not out.exists()
 

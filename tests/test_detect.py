@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import to_detections
+from robodet.data import load_anchors, save_anchors
 from robodet.detect import (
     BBox,
     Detection,
@@ -19,10 +20,8 @@ from robodet.detect import (
     format_detections,
     iou,
     iou_matrix,
-    load_anchors,
     nms,
     postprocess,
-    save_anchors,
     sigmoid,
 )
 from robodet.model import CLASS_NAMES, HEADS, HeadSpec, build_robo, forward, init_network

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import to_detections
+import robodet.data
 import robodet.evaluate
 import robodet.model
+from robodet.cli import main
 from robodet.data import (
     DatasetIndex,
     generate_toy_dataset,
@@ -38,7 +43,14 @@ from robodet.evaluate import (
     write_per_class_csv,
     write_report_csv,
 )
-from robodet.model import CLASS_NAMES, build_robo, build_robo_bn, build_robo_hr, init_network
+from robodet.model import (
+    CLASS_NAMES,
+    build_robo,
+    build_robo_bn,
+    build_robo_hr,
+    init_network,
+    save_weights,
+)
 
 IMG = (640, 480)
 
@@ -584,32 +596,207 @@ def first_images(index, n):
                         index.annotations[:n])
 
 
-@pytest.mark.parametrize("n", [1, 4, 5, 7])
+def force_streams(monkeypatch, streams):
+    """Make `evaluate` run `streams` streams: one CPU for 1; two CPUs and
+    one-thread BLAS for 2."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(streams)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: streams)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def quiet_evaluate(net, index):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return evaluate(net, index)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_chunked_evaluate_equals_per_image_loop(eval_set, name, n):
-    # 5 and 7 images leave a short last chunk.
+def test_chunked_evaluate_equals_per_image_loop(eval_set, monkeypatch, name, n):
+    # One stream: 5 and 7 images leave a short last chunk.  Two streams: 1
+    # and 2 images leave the worker idle, 3 and 7 end on a short worker
+    # chunk and 5 on a short caller chunk.
     index, nets = eval_set
     net, index = nets[name], first_images(index, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got, want = evaluate(net, index), evaluate_reference(net, index)
-    assert [r.criterion for r in got] == [r.criterion for r in want]
-    assert [r.ap for r in got] == [r.ap for r in want]
-    assert [r.counts for r in got] == [r.counts for r in want]
-    assert [r.map for r in got] == [r.map for r in want]
+        want = evaluate_reference(net, index)
+    for streams in (1, 2):
+        force_streams(monkeypatch, streams)
+        got = quiet_evaluate(net, index)
+        assert [r.criterion for r in got] == [r.criterion for r in want]
+        assert [r.ap for r in got] == [r.ap for r in want]
+        assert [r.counts for r in got] == [r.counts for r in want]
+        assert [r.map for r in got] == [r.map for r in want]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_two_streams_equal_the_loop_under_a_short_switch_interval(eval_set, monkeypatch,
+                                                                 name):
+    # The interpreter switches threads every few microseconds, so the two
+    # streams interleave inside each chunk; a shared buffer would show.
+    index, nets = eval_set
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = evaluate_reference(nets[name], index)
+    force_streams(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [quiet_evaluate(nets[name], index) for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    for reports in got:
+        assert [(r.criterion, r.ap, r.counts) for r in reports] == [
+            (r.criterion, r.ap, r.counts) for r in want]
+
+
+def spy_forward(monkeypatch):
+    """Patch `model.forward` to record each call's (batch size, thread)
+    and the most images inside forward at once; returns the record."""
+    record = {"calls": [], "in_flight": 0, "most": 0}
+    lock = threading.Lock()
+    forward = robodet.model.forward
+
+    def spy(net, x):
+        with lock:
+            record["calls"].append((x.shape[0], threading.get_ident()))
+            record["in_flight"] += x.shape[0]
+            record["most"] = max(record["most"], record["in_flight"])
+        try:
+            return forward(net, x)
+        finally:
+            with lock:
+                record["in_flight"] -= x.shape[0]
+
+    monkeypatch.setattr(robodet.model, "forward", spy)
+    return record
 
 
 def test_forward_runs_four_images_at_a_time(eval_set, monkeypatch):
     index, nets = eval_set
-    sizes = []
-    forward = robodet.model.forward
+    force_streams(monkeypatch, 1)
+    record = spy_forward(monkeypatch)
+    quiet_evaluate(nets["robo"], first_images(index, 5))
+    assert [size for size, _ in record["calls"]] == [4, 1]
+    assert {thread for _, thread in record["calls"]} == {threading.get_ident()}
 
-    def spy(net, x):
-        sizes.append(x.shape[0])
-        return forward(net, x)
 
-    monkeypatch.setattr(robodet.model, "forward", spy)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        evaluate(nets["robo"], first_images(index, 5))
-    assert sizes == [4, 1]
+def test_two_streams_run_two_images_per_chunk(eval_set, monkeypatch):
+    index, nets = eval_set
+    force_streams(monkeypatch, 2)
+    record = spy_forward(monkeypatch)
+    quiet_evaluate(nets["robo"], first_images(index, 7))
+    # The order across the two threads is not fixed.
+    assert sorted(size for size, _ in record["calls"]) == [1, 2, 2, 2]
+    assert record["most"] <= 4
+    threads = [thread for _, thread in record["calls"]]
+    assert threads.count(threading.get_ident()) == 2 and len(set(threads)) == 2
+
+
+@pytest.mark.parametrize("cpus, openblas, omp, streams", [
+    (2, "1", None, 2),
+    (2, None, "1", 2),
+    (2, None, None, 1),  # unpinned: BLAS threads use both cores already
+    (2, "2", None, 1),
+    (2, "2", "1", 1),  # OpenBLAS reads its own variable first
+    (4, "1", "4", 2),
+    (1, "1", "1", 1),
+])
+def test_second_stream_needs_two_cpus_and_one_blas_thread(eval_set, monkeypatch, cpus,
+                                                          openblas, omp, streams):
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    index, nets = eval_set
+    record = spy_forward(monkeypatch)
+    quiet_evaluate(nets["robo"], first_images(index, 7))
+    assert len({thread for _, thread in record["calls"]}) == streams
+    assert len(record["calls"]) == {1: 2, 2: 4}[streams]
+
+
+def test_cpu_count_stands_in_for_a_missing_affinity_call(eval_set, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    index, nets = eval_set
+    record = spy_forward(monkeypatch)
+    quiet_evaluate(nets["robo"], first_images(index, 7))
+    assert len({thread for _, thread in record["calls"]}) == 2
+
+
+@pytest.fixture
+def bad_set(tmp_path):
+    """Seven toy images loaded as an index, and a function truncating the
+    pixel data of image i after the index was read."""
+    index = generate_toy_dataset(7, "A", seed=3, out_dir=tmp_path)
+
+    def truncate(i):
+        path = index.root / index.entries[i][0]
+        path.write_bytes(path.read_bytes()[:-10])
+        return path
+
+    return index, truncate
+
+
+def evaluate_error(net, index, monkeypatch, streams):
+    force_streams(monkeypatch, streams)
+    with pytest.raises(ValueError) as info:
+        quiet_evaluate(net, index)
+    return str(info.value)
+
+
+# Two streams: the caller runs images 0-1 and 4-5, the worker 2-3 and 6.
+@pytest.mark.parametrize("bad, named", [
+    ((2,), 2),  # worker only
+    ((6,), 6),  # the worker's short last chunk
+    ((3, 4), 3),  # worker's is lower
+    ((1, 2), 1),  # caller's is lower
+    ((5, 6), 5),
+    ((0, 6), 0),
+])
+def test_bad_image_raises_the_serial_error(eval_set, bad_set, monkeypatch, bad, named):
+    index, truncate = bad_set
+    paths = {i: truncate(i) for i in bad}
+    net = eval_set[1]["robo"]
+    serial = evaluate_error(net, index, monkeypatch, 1)
+    assert serial.startswith(f"{paths[named]}: truncated pixel data")
+    before = threading.active_count()
+    assert evaluate_error(net, index, monkeypatch, 2) == serial
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("streams", [1, 2])
+def test_no_thread_outlives_evaluate(eval_set, monkeypatch, streams):
+    index, nets = eval_set
+    force_streams(monkeypatch, streams)
+    before = threading.active_count()
+    quiet_evaluate(nets["robo"], index)
+    assert threading.active_count() == before
+
+
+def test_cli_eval_reports_a_worker_stream_error_on_one_line(eval_set, bad_set, monkeypatch,
+                                                            tmp_path, capsys):
+    index, truncate = bad_set
+    weights = tmp_path / "net.rbw"
+    save_weights(eval_set[1]["robo"], weights)
+    load_index = robodet.data.load_index
+
+    def load_then_truncate(root):
+        loaded = load_index(root)
+        truncate(3)
+        return loaded
+
+    monkeypatch.setattr(robodet.data, "load_index", load_then_truncate)
+    force_streams(monkeypatch, 2)
+    code = main(["eval", "--data", str(index.root), "--weights", str(weights)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("error:") == 1 and captured.err.startswith(
+        f"error: {index.root / index.entries[3][0]}: truncated pixel data")
+    assert "Traceback" not in captured.err

@@ -736,6 +736,10 @@ class TestPrune:
             prune(tiny_net, 0.0)
 
 
+# The source name that parse_config puts in its errors.
+CONFIG = "c.cfg"
+
+
 class TestConfigFile:
     def test_round_trip(self):
         text = (
@@ -746,7 +750,7 @@ class TestConfigFile:
         )
         keys = {line.split("=")[0] for line in text.splitlines()}
         assert keys == {f.name for f in fields(TrainConfig)} | set(train_mod._LOSS_KEYS)
-        cfg, lw = parse_config(text)
+        cfg, lw = parse_config(text, CONFIG)
         assert cfg == TrainConfig(
             lr_max=0.002, lr_min=1e-5, epochs=25, batch=16, finetune_epochs=3,
             finetune_lr=2e-5, seed=9, transfer_layers=5,
@@ -756,18 +760,28 @@ class TestConfigFile:
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key"):
-            parse_config("warmup_epochs=3\n")
+            parse_config("warmup_epochs=3\n", CONFIG)
 
+    # `<file>:<line>: `, as the index, annotation and anchor readers write it.
     @pytest.mark.parametrize("text, prefix", [
-        ("epochs=abc\n", "line 1: epochs: invalid literal"),
-        ("lr_max=\n", "line 1: lr_max: could not convert"),
-        ("lambda_l1=x\n", "line 1: lambda_l1: could not convert"),
-        ("epochs=5\n\n# note\nbatch=1.5\n", "line 4: batch: invalid literal"),
+        ("epochs=abc\n", "c.cfg:1: epochs: invalid literal"),
+        ("lr_max=\n", "c.cfg:1: lr_max: could not convert"),
+        ("lambda_l1=x\n", "c.cfg:1: lambda_l1: could not convert"),
+        ("epochs=5\n\n# note\nbatch=1.5\n", "c.cfg:4: batch: invalid literal"),
+        ("epochs=5\nepochs\n", "c.cfg:2: expected key=value"),
+        ("warmup_epochs=3\n", "c.cfg:1: unknown config key 'warmup_epochs'"),
     ])
     def test_bad_value_names_line_and_key(self, text, prefix):
         with pytest.raises(ValueError) as info:
-            parse_config(text)
+            parse_config(text, CONFIG)
         assert str(info.value).startswith(prefix)
+
+    @pytest.mark.parametrize("text", ["batch=0\n", "lr_min=1\nlr_max=0.1\n",
+                                      "lambda_obj=-1\n"])
+    def test_bad_value_in_range_names_the_source(self, text):
+        with pytest.raises(ValueError) as info:
+            parse_config(text, CONFIG)
+        assert str(info.value).startswith("c.cfg: ")
 
     @pytest.mark.parametrize("field", ["coord", "obj", "noobj", "l1"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
@@ -775,13 +789,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"loss weight {field} must be finite"):
             LossWeights(**{field: value})
         with pytest.raises(ValueError, match=f"loss weight {field} must be finite"):
-            parse_config(f"lambda_{field}={value}\n")
+            parse_config(f"lambda_{field}={value}\n", CONFIG)
 
     def test_loss_weights_accept_zero(self):
         assert LossWeights(coord=0.0, obj=0.0, noobj=0.0, l1=0.0).l1 == 0.0
 
     def test_comments_and_blanks(self):
-        cfg, lw = parse_config("# comment\n\nepochs=7\nlambda_l1=0.01\n")
+        cfg, lw = parse_config("# comment\n\nepochs=7\nlambda_l1=0.01\n", CONFIG)
         assert cfg.epochs == 7
         assert lw.l1 == 0.01
 
@@ -804,7 +818,7 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
-            parse_config(f"{field}={value}\n")
+            parse_config(f"{field}={value}\n", CONFIG)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -822,9 +836,9 @@ class TestConfigFile:
             st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
         ))
         try:
-            cfg, lw = parse_config(text)
-        except ValueError:
-            pass
+            cfg, lw = parse_config(text, CONFIG)
+        except ValueError as exc:
+            assert str(exc).startswith("c.cfg:")
         else:
             assert isinstance(cfg, TrainConfig) and isinstance(lw, LossWeights)
 
